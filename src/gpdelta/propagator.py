@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import quad
 from scipy.special import wofz
 
@@ -288,30 +289,17 @@ def gamma_kernel_by_quadrature(q: KernelQuery) -> complex:
 # Kernel application.
 
 
-def _banded_matvec(vals: np.ndarray, offset_sign: int, src: np.ndarray, n_out: int) -> np.ndarray:
-    """out[j] = sum_k vals[j + offset_sign * k] @ src[k], blocked to bound memory.
-
-    offset_sign=-1 with vals indexed at (j - k + n_src - 1) gives a Toeplitz
-    product, offset_sign=+1 at (j + k) a Hankel one. Summation order inside a
-    row is fixed (plain dot), so results do not depend on blocking.
-    """
-    n_src = src.shape[0]
-    ks = np.arange(n_src)
-    out = np.empty(n_out, dtype=complex)
-    block = max(1, 4_000_000 // n_src)
-    for j0 in range(0, n_out, block):
-        j = np.arange(j0, min(j0 + block, n_out))
-        if offset_sign < 0:
-            idx = j[:, None] - ks[None, :] + (n_src - 1)
-        else:
-            idx = j[:, None] + ks[None, :]
-        out[j0 : j0 + j.shape[0]] = vals.take(idx) @ src
-    return out
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex sequences by FFT."""
+    n = a.size + b.size - 1
+    nfft = next_fast_len(n)
+    return ifft(fft(a, nfft) * fft(b, nfft))[:n]
 
 
 def apply_propagator(u0: Field, t: float, gamma: float, boundary_tol: float = 1e-8) -> Field:
     """e^{-itH_gamma} u0 = free convolution with K0 plus the Gamma correction.
 
+    Both kernel products are FFT convolutions, so a call costs O(n log n).
     Targets localized wavepackets: the quadrature needs the source to have
     died out before the boundary, so fields with boundary modulus above
     boundary_tol are rejected (background-carrying states belong to the
@@ -334,18 +322,19 @@ def apply_propagator(u0: Field, t: float, gamma: float, boundary_tol: float = 1e
 
     # Free part: K0(t, x_j - y_k) depends on j - k only.
     kvals = k0(t, np.arange(-(n - 1), n) * h)
-    out = _banded_matvec(kvals, -1, wv, n)
+    out = _conv(kvals, wv)[n - 1 : 2 * n - 1]
 
     if gamma != 0.0:
         # Gamma(t,x,y) depends on |x| + |y| only: fold the source about the
-        # origin, take one Hankel product on the half line, mirror the result.
+        # origin, take one Hankel product on the half line (a convolution
+        # with the reversed source), mirror the result.
         gvals = _gamma_closed_form(abs(t), np.arange(2 * m + 1) * h, gamma)
         if t < 0.0:
             gvals = np.conj(gvals)
         folded = np.empty(m + 1, dtype=complex)
         folded[0] = wv[m]
         folded[1:] = wv[m + 1 :] + wv[m - 1 :: -1]
-        pos = _banded_matvec(gvals, +1, folded, m + 1)
+        pos = _conv(gvals, folded[::-1])[m : 2 * m + 1]
         out[m:] += pos
         out[:m] += pos[:0:-1]
     return Field(grid, out)

@@ -7,6 +7,10 @@ in test_acceptance.py.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,30 @@ def test_reports_are_byte_identical_across_runs_and_out_dirs(tmp_path):
         one = (tmp_path / "a" / "stationary" / name).read_bytes()
         two = (tmp_path / "b" / "stationary" / name).read_bytes()
         assert one == two
+
+
+def test_instability_report_is_byte_identical_across_runs(tmp_path):
+    # The sparse eigen-solve starts from a fixed vector and pins the mode's
+    # sign, so the interpolated initial perturbation, and with it every
+    # reported number, repeats exactly.
+    flags = ["--gamma", "1", "--L", "10", "--h", "0.1", "--h-run", "0.1", "--t-end", "2"]
+    for d in ("a", "b"):
+        assert main(["instability", *flags, "--out", str(tmp_path / d)]) == 0
+    for name in ("report.json", "growth.csv"):
+        one = (tmp_path / "a" / "instability" / name).read_bytes()
+        two = (tmp_path / "b" / "instability" / name).read_bytes()
+        assert one == two
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal nearly doubles the start-up time of every subcommand.
+    src = str(Path(gpdelta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, gpdelta.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_manifest_contract(tmp_path):

@@ -254,12 +254,19 @@ def test_apply_rejects_background_fields():
 
 
 @pytest.mark.parametrize(
-    "t,gamma",
-    [(0.37, 1.0), (0.37, -1.0), (-0.2, -0.5), (0.11, 0.0)],
+    "t,gamma,L,M",
+    [
+        pytest.param(0.37, 1.0, 5.0, 250, id="0.37-1.0"),
+        pytest.param(0.37, -1.0, 5.0, 250, id="0.37--1.0"),
+        pytest.param(-0.2, -0.5, 5.0, 250, id="-0.2--0.5"),
+        pytest.param(0.11, 0.0, 5.0, 250, id="0.11-0.0"),
+        pytest.param(0.37, -1.0, 20.0, 1000, id="0.37--1.0-n2001"),
+    ],
 )
-def test_apply_matches_dense_kernel_matrix(t, gamma):
-    """The blocked Toeplitz/Hankel product equals the assembled matrix."""
-    grid = make_grid(5.0, 250)
+def test_apply_matches_dense_kernel_matrix(t, gamma, L, M):
+    """The FFT convolutions (free Toeplitz part, folded Hankel part) equal the
+    assembled kernel matrix applied to the trapezoid-weighted source."""
+    grid = make_grid(L, M)
     x = grid.x
     w = trapezoid_weights(grid)
     vals = np.exp(-x**2) * (1.0 + 0.3j * np.sin(2 * x))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from gpdelta.grid import make_grid
 from gpdelta.spectra import (
@@ -24,6 +25,27 @@ SQRT2 = np.sqrt(2.0)
 def canon():
     # h = 0.01, box [-30, 30]: the workhorse eigenproblem grid.
     return make_grid(30.0, 3000)
+
+
+def dense(m):
+    return np.diag(m.diagonal) + np.diag(m.off_diagonal, 1) + np.diag(m.off_diagonal, -1)
+
+
+def dense_instability(gamma, grid):
+    """Small-n oracle: (mu_min, rate, mode_u) from Lambda = S M S, S = P^{1/2}.
+
+    mu_min is the lowest eigenvalue of Lambda; for mu_min < 0 the growing
+    mode is u = S^{-1} w for Lambda's ground vector w, on the interior nodes.
+    O(n^3) in time and O(n^2) in memory.
+    """
+    lp = build_lpm(grid, gamma, Which.LPLUS)
+    lm = build_lpm(grid, gamma, Which.LMINUS)
+    e, V = eigh_tridiagonal(lp.diagonal, lp.off_diagonal)
+    assert e[0] > 0.0
+    S = (V * np.sqrt(e)) @ V.T
+    mu, W = eigh(S @ dense(lm) @ S)
+    u = (V / np.sqrt(e)) @ (V.T @ W[:, 0])
+    return mu[0], np.sqrt(-mu[0]) if mu[0] < 0.0 else None, u
 
 
 def rayleigh(m, f):
@@ -129,8 +151,6 @@ def test_no_discrete_eigenvalue_sits_near_zero(canon, gamma):
 
 
 def test_box_artifacts_above_the_edges_recede_as_the_box_grows():
-    from scipy.linalg import eigh_tridiagonal
-
     for which, edge in ((Which.LMINUS, EDGE_LMINUS), (Which.LPLUS, EDGE_LPLUS)):
         first = {}
         for L in (30.0, 60.0):
@@ -202,6 +222,31 @@ def test_growth_rate_is_grid_converged():
     fine = instability_eigenvalue(1.0, make_grid(30.0, 1201))
     rel = abs(coarse.growth_rate - fine.growth_rate) / fine.growth_rate
     assert rel < 0.01  # measured 4.7e-6
+
+
+@pytest.mark.parametrize("M", [300, 600])
+def test_sparse_instability_matches_the_dense_oracle(M):
+    grid = make_grid(30.0, M)
+    rep = instability_eigenvalue(1.0, grid)
+    mu, rate, u = dense_instability(1.0, grid)
+    # measured 4.7e-11 (M = 300) and 3.8e-9 (M = 600): the dense square root
+    # loses accuracy with the condition number of P, which grows like h^-2
+    assert abs(rep.growth_rate - rate) / rate < 1e-7
+    assert abs(rep.mu_min - mu) / abs(mu) < 2e-7
+    got = rep.mode_u[1:-1] / np.linalg.norm(rep.mode_u)
+    want = u / np.linalg.norm(u) * np.sign(u[grid.M - 1])
+    assert np.linalg.norm(got - want) < 1e-6  # measured 2.9e-11, 5.2e-10
+
+
+def test_instability_is_deterministic_and_sign_pinned():
+    grid = make_grid(30.0, 600)
+    one = instability_eigenvalue(1.0, grid)
+    instability_eigenvalue(2.0, make_grid(20.0, 400))  # no solver state carries over
+    two = instability_eigenvalue(1.0, grid)
+    assert one.mu_min == two.mu_min and one.growth_rate == two.growth_rate
+    assert np.array_equal(one.mode_u, two.mode_u)
+    assert np.array_equal(one.mode_v, two.mode_v)
+    assert one.mode_u[grid.M] > 0.0
 
 
 # ----------------------------------------------------------------- report
