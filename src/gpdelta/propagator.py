@@ -201,40 +201,56 @@ def _gl_rule(order: int):
     return _GL_CACHE[order]
 
 
-def _phase_segments(lo: float, hi: float, t: float, shift: float) -> np.ndarray:
+def _phase_edges(lo: float, hi: float, t: float, shift: float, block: int):
     """Breakpoints of (s + shift)^2/(4t) at multiples of pi inside [lo, hi].
 
     The phase is quadratic with vertex at s = -shift; splitting there and at
     every pi-crossing bounds the phase change per segment by pi, which a
-    modest Gauss-Legendre rule resolves to machine precision.
+    modest Gauss-Legendre rule resolves to machine precision. The edges come
+    one side of the vertex at a time, outward from it, in runs of at most
+    block + 1 points; consecutive runs share their end point. Memory is
+    O(block) however many crossings the range holds.
     """
-    edges = [lo, hi]
     vertex = -shift
-    if lo < vertex < hi:
-        edges.append(vertex)
     kmax = int(max((lo + shift) ** 2, (hi + shift) ** 2) / (4.0 * t * math.pi)) + 1
     if kmax > 3_000_000:
         raise ValueError("oscillation count too large for the validation quadrature")
-    r = 2.0 * np.sqrt(t * math.pi * np.arange(1, kmax + 1))
-    for cand in (vertex + r, vertex - r):
-        inside = cand[(cand > lo) & (cand < hi)]
-        edges.extend(inside.tolist())
-    return np.unique(np.asarray(edges, dtype=float))
+    for side, start, end in ((-1.0, min(vertex, hi), lo), (1.0, max(vertex, lo), hi)):
+        if side * (end - start) <= 0.0:
+            continue  # the vertex lies beyond this end of [lo, hi]
+        prev = start
+        for k0 in range(1, kmax + 1, block):
+            r = 2.0 * np.sqrt(t * math.pi * np.arange(k0, min(k0 + block, kmax + 1)))
+            cand = vertex + side * r
+            inside = cand[(cand > lo) & (cand < hi)]
+            if inside.size:
+                yield np.concatenate(([prev], inside))
+                prev = inside[-1]
+            if side * (cand[-1] - end) >= 0.0:
+                break
+        yield np.array([prev, end])
 
 
-def _integrate_segments(f, edges: np.ndarray, reltol: float = 1e-13) -> complex:
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
+# Quadrature nodes evaluated at once: bounds the temporaries to about 1 MB
+# each, whatever the query.
+_CHUNK_NODES = 1 << 16
+
+
+def _integrate_segments(f, edge_runs, reltol: float = 1e-13) -> complex:
+    """Sum of Gauss-Legendre rules over the segments of edge_runs(block).
+
+    edge_runs(block) yields runs of at most block + 1 monotone edges; each
+    run's segments are integrated together.
+    """
 
     def level(order: int) -> tuple[complex, float]:
         nodes, wts = _gl_rule(order)
         total = 0.0j
         mass = 0.0
-        chunk = max(1, 2_000_000 // order)  # bound temporaries to ~32 MB
-        for i0 in range(0, mid.size, chunk):
-            m = mid[i0 : i0 + chunk, None]
-            hh = half[i0 : i0 + chunk, None]
-            contrib = hh * wts[None, :] * f(m + hh * nodes[None, :])
+        for edges in edge_runs(max(1, _CHUNK_NODES // order)):
+            mid = 0.5 * (edges[1:, None] + edges[:-1, None])
+            half = 0.5 * np.abs(np.diff(edges))[:, None]
+            contrib = half * wts[None, :] * f(mid + half * nodes[None, :])
             total += complex(np.sum(contrib))
             mass += float(np.sum(np.abs(contrib)))
         return total, mass
@@ -278,8 +294,8 @@ def gamma_kernel_by_quadrature(q: KernelQuery) -> complex:
     def f(s):
         return np.exp(-0.5 * ag * s) * pref * np.exp(1j * (s + shift) ** 2 / (4.0 * t))
 
-    edges = _phase_segments(0.0, s_max, t, shift)
-    total = -(0.5 * ag) * _integrate_segments(f, edges)
+    total = -(0.5 * ag) * _integrate_segments(
+        f, lambda block: _phase_edges(0.0, s_max, t, shift, block))
     if gamma < 0.0:
         total += (0.5 * ag) * cmath.exp(0.25j * gamma * gamma * t) * math.exp(-0.5 * ag * a)
     return total

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gpdelta.propagator import (
     k0,
     w_erfc,
     _gamma_closed_form,
+    _phase_edges,
 )
 
 # Empirical bounds frozen from sweep measurements on the grids used below.
@@ -194,6 +196,42 @@ def test_gamma_kernel_split_identity():
         kv = gamma_kernel(KernelQuery(t, x, y, gamma))
         worst = max(worst, abs(kv.total - (kv.part1 + kv.part2)) / abs(kv.total))
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize(
+    "lo,hi,t,shift",
+    [
+        (0.0, 73.7, 0.3, 4.2),     # repulsive: vertex below the range
+        (0.0, 73.7, 0.3, 0.0),     # vertex on the lower end
+        (0.0, 36.8, 0.05, -7.5),   # attractive: vertex inside, both sides
+        (0.0, 5.0, 0.1, -9.0),     # vertex beyond the upper end
+    ],
+)
+def test_phase_edges_are_the_pi_crossings_in_bounded_runs(lo, hi, t, shift):
+    vertex = -shift
+    kmax = int(max((lo + shift) ** 2, (hi + shift) ** 2) / (4.0 * t * math.pi)) + 1
+    r = 2.0 * np.sqrt(t * math.pi * np.arange(1, kmax + 1))
+    cand = np.concatenate(([lo, hi, vertex], vertex + r, vertex - r))
+    want = np.unique(cand[(cand >= lo) & (cand <= hi)])
+    block = 37
+    runs = list(_phase_edges(lo, hi, t, shift, block))
+    assert all(2 <= run.size <= block + 1 for run in runs)
+    assert all(np.all(np.diff(run) > 0) or np.all(np.diff(run) < 0) for run in runs)
+    assert sum(run.size - 1 for run in runs) == want.size - 1
+    assert np.array_equal(np.unique(np.concatenate(runs)), want)
+
+
+def test_quadrature_memory_does_not_grow_with_crossings():
+    # About 6e4 phase crossings: some 100 MiB when built and evaluated at once.
+    q = KernelQuery(0.02, 5.0, -7.9, -0.5)
+    tracemalloc.start()
+    try:
+        got = gamma_kernel_by_quadrature(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert relerr(gamma_kernel(q).total, got) < 1e-9
 
 
 # ---------------------------------------------------------------------------
