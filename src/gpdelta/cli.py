@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -113,13 +112,6 @@ def _parse_gammas(text: str) -> list[float]:
     return vals
 
 
-def _pool_map(jobs: int, fn, items):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ------------------------------------------------------------- subcommands
 
 
@@ -162,23 +154,20 @@ def _run_energy_table(args):
     if any(g == 0.0 for g in gammas):
         raise ValueError("energy table needs gamma != 0 entries")
 
-    def table_rows(gamma):
+    rows = []
+    for gamma in gammas:
         kinds = [StateKind.KINK, StateKind.EVEN_TANH]
         if gamma < 0.0:
             kinds.append(StateKind.EVEN_COTH)
-        out = []
         for kind in kinds:
             state = StationaryState(kind, gamma)
             u = eval_state(state, grid)
             exact = closed_form_energy(state)
             rich = extrapolated_energy(u, gamma)
-            out.append((
+            rows.append((
                 gamma, kind.name.lower(), exact,
                 energy_gamma(u, gamma).total, rich, abs(rich - exact),
             ))
-        return out
-
-    rows = [r for chunk in _pool_map(args.jobs, table_rows, gammas) for r in chunk]
     worst = max(r[5] for r in rows)
     results = {
         "n_rows": len(rows),
@@ -202,29 +191,21 @@ def _run_kernel_check(args):
     if args.n_queries < 1:
         raise ValueError("need at least one query")
     rng = np.random.default_rng([args.seed, 0])
-    queries = []
+    rows = []
     for _ in range(args.n_queries):
-        queries.append(KernelQuery(
+        q = KernelQuery(
             t=float(1.0 - rng.uniform(0.0, 1.0)),
             x=float(rng.uniform(-10.0, 10.0)),
             y=float(rng.uniform(-10.0, 10.0)),
             gamma=float(GAMMA_PANEL[int(rng.integers(0, len(GAMMA_PANEL)))]),
-        ))
-
-    def check(q):
+        )
         closed = gamma_kernel(q)
         oracle = gamma_kernel_by_quadrature(q)
         rel = abs(closed.total - oracle) / abs(oracle)
-        if closed.part1 is None:  # split decomposition exists only for gamma < 0
-            return rel, float("nan")
-        split = abs(closed.part1 + closed.part2 - closed.total) / abs(closed.total)
-        return rel, split
-
-    checks = _pool_map(args.jobs, check, queries)
-    rows = [
-        (q.t, q.x, q.y, q.gamma, rel, split)
-        for q, (rel, split) in zip(queries, checks)
-    ]
+        split = float("nan")
+        if closed.part1 is not None:  # split decomposition exists only for gamma < 0
+            split = abs(closed.part1 + closed.part2 - closed.total) / abs(closed.total)
+        rows.append((q.t, q.x, q.y, q.gamma, rel, split))
     rels = [r[4] for r in rows]
     splits = [r[5] for r in rows if not np.isnan(r[5])]
     iworst = int(np.argmax(rels))
@@ -298,15 +279,14 @@ def _run_stability_sweep(args):
         dt=args.dt, t_end=args.t_end, gamma=args.gamma, record_every=args.record_every
     )
 
-    def one(seed):
+    rows = []
+    for seed in range(args.n_seeds):
         u0 = seeded_perturbation(state, grid, seed=seed, target_d0=args.target_d0)
         d_init = orbit_distance(u0, kind, args.gamma).distance
         tr = evolve(u0, cfg, orbit_target=state)
         drift = np.max(np.abs(tr.energy_trace - tr.energy_trace[0]))
         drift /= abs(tr.energy_trace[0])
-        return seed, d_init, float(np.max(tr.orbit_trace)), float(drift)
-
-    rows = _pool_map(args.jobs, one, range(args.n_seeds))
+        rows.append((seed, d_init, float(np.max(tr.orbit_trace)), float(drift)))
     results = {
         "family": kind.name.lower(),
         "n_seeds": args.n_seeds,
@@ -458,7 +438,6 @@ def _add_shared(sp, *, L, h, dt=1e-3, t_end=None):
         sp.add_argument("--t-end", dest="t_end", type=float, default=t_end)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 

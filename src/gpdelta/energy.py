@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, apply_hgamma, build_hgamma, trapezoid_weights
+from .grid import DeltaOperator, Field, GridSpec, build_hgamma, trapezoid_weights
 from .solitons import StateKind, StationaryState, eval_state
 
 __all__ = [
@@ -53,12 +53,16 @@ def energy_gamma(u: Field, gamma: float) -> EnergyBreakdown:
     weights. Both are second-order accurate away from the origin kink of the
     profiles; use extrapolated_energy when 1e-6 absolute accuracy is needed.
     """
-    v = u.values
-    h = u.grid.h
-    kinetic = float(np.sum(np.abs(np.diff(v)) ** 2) / (2.0 * h))
-    point = 0.5 * gamma * float(np.abs(v[u.grid.M]) ** 2)
-    w = trapezoid_weights(u.grid)
-    potential = 0.25 * float(np.sum(w * (1.0 - np.abs(v) ** 2) ** 2))
+    return energy_values(u.values, u.grid, gamma, trapezoid_weights(u.grid))
+
+
+def energy_values(
+    v: np.ndarray, grid: GridSpec, gamma: float, weights: np.ndarray
+) -> EnergyBreakdown:
+    """energy_gamma on raw samples with precomputed trapezoid weights; no checks."""
+    kinetic = float(np.sum(np.abs(np.diff(v)) ** 2) / (2.0 * grid.h))
+    point = 0.5 * gamma * float(np.abs(v[grid.M]) ** 2)
+    potential = 0.25 * float(np.sum(weights * (1.0 - np.abs(v) ** 2) ** 2))
     return EnergyBreakdown(kinetic, point, potential, kinetic + point + potential)
 
 
@@ -114,7 +118,12 @@ def dinfty(u: Field, v: Field) -> float:
 
 
 def nonlinear_F(u: Field) -> Field:
-    return Field(u.grid, (1.0 - np.abs(u.values) ** 2) * u.values)
+    return Field(u.grid, nonlinear_values(u.values))
+
+
+def nonlinear_values(v: np.ndarray) -> np.ndarray:
+    """(1 - |v|^2) v on raw samples."""
+    return (1.0 - np.abs(v) ** 2) * v
 
 
 def energy_gradient(u: Field, gamma: float) -> Field:
@@ -126,10 +135,16 @@ def energy_gradient(u: Field, gamma: float) -> Field:
     Boundary components are forced to zero (the boundary is clamped wherever
     the gradient is consumed).
     """
-    out = apply_hgamma(build_hgamma(u.grid, gamma), u).values
-    out -= nonlinear_F(u).values
+    v = u.values
+    return Field(u.grid, gradient_values(build_hgamma(u.grid, gamma), v, nonlinear_values(v)))
+
+
+def gradient_values(op: DeltaOperator, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """energy_gradient on raw samples v, given f = nonlinear_values(v); no checks."""
+    out = np.empty_like(v)
+    out[1:-1] = op.interior(v) - f[1:-1]
     out[0] = out[-1] = 0.0
-    return Field(u.grid, out)
+    return out
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

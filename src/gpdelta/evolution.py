@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.optimize import brentq
 
-from .energy import energy_gamma, nonlinear_F, orbit_distance
-from .grid import Field, GridSpec, build_hgamma
+from .energy import energy_gamma, orbit_distance
+from .grid import Field, GridSpec, TridiagonalLU, build_hgamma
 from .solitons import StationaryState, eval_state
 
 __all__ = [
@@ -104,32 +103,20 @@ class _CrankNicolson:
         lower = upper.copy()
         upper[0] = 0.0
         lower[-1] = 0.0
-        dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._factors = (dl, d, du, du2, ipiv)
-        self._hdiag = op.diagonal
-        self._hoff = op.off_diagonal
+        self._lu = TridiagonalLU(lower, diag, upper)
+        self._op = op
         self._z = z
 
     def _apply_b(self, u: np.ndarray) -> np.ndarray:
         out = u.copy()
-        out[1:-1] -= self._z * (
-            self._hdiag[1:-1] * u[1:-1] + self._hoff * (u[:-2] + u[2:])
-        )
+        out[1:-1] -= self._z * self._op.interior(u)
         return out
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.zgttrs(*self._factors, rhs)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x
 
     def step(self, u: np.ndarray, guess: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         b = self._apply_b(u)
         if cfg.linear:
-            return self._solve(b)
+            return self._lu.solve(b)
         nxt = guess
         # A divergent iterate overflows before the residual test catches it;
         # that is the expected failure mode, reported below, not a warning.
@@ -137,7 +124,7 @@ class _CrankNicolson:
             for _ in range(cfg.nonlinear_max_iter):
                 mid = 0.5 * (u + nxt)
                 rhs = b + (1j * cfg.dt) * _interior_f(mid)
-                new = self._solve(rhs)
+                new = self._lu.solve(rhs)
                 residual = float(np.max(np.abs(new - nxt)))
                 nxt = new
                 if residual <= cfg.nonlinear_tol * (1.0 + float(np.max(np.abs(new)))):

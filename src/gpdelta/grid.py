@@ -6,11 +6,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "GridSpec",
     "Field",
     "DeltaOperator",
+    "TridiagonalLU",
     "make_grid",
     "build_hgamma",
     "apply_hgamma",
@@ -80,6 +82,30 @@ class DeltaOperator:
     diagonal: np.ndarray
     off_diagonal: float
 
+    def interior(self, v: np.ndarray) -> np.ndarray:
+        """Rows 1..n-2 of H_gamma v on raw samples; callers supply the end rows."""
+        return self.diagonal[1:-1] * v[1:-1] + self.off_diagonal * (v[:-2] + v[2:])
+
+
+class TridiagonalLU:
+    """LU factors of a complex tridiagonal matrix, kept for repeated solves.
+
+    Callers build the bands, end rows included; the matrix is factored once
+    (LAPACK zgttrf) and each solve is a zgttrs sweep.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
+        self._factors = (dl, d, du, du2, ipiv)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = lapack.zgttrs(*self._factors, rhs)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        return x
+
 
 def make_grid(L: float, M: int) -> GridSpec:
     m = int(M)
@@ -107,7 +133,7 @@ def apply_hgamma(op: DeltaOperator, u: Field) -> Field:
     v = u.values
     h2 = op.grid.h ** 2
     out = np.empty_like(v)
-    out[1:-1] = op.diagonal[1:-1] * v[1:-1] + op.off_diagonal * (v[:-2] + v[2:])
+    out[1:-1] = op.interior(v)
     out[0] = -(v[0] - 2.0 * v[1] + v[2]) / h2
     out[-1] = -(v[-1] - 2.0 * v[-2] + v[-3]) / h2
     return Field(u.grid, out)

@@ -214,7 +214,9 @@ def _phase_edges(lo: float, hi: float, t: float, shift: float, block: int):
     vertex = -shift
     kmax = int(max((lo + shift) ** 2, (hi + shift) ** 2) / (4.0 * t * math.pi)) + 1
     if kmax > 3_000_000:
-        raise ValueError("oscillation count too large for the validation quadrature")
+        raise RuntimeError(
+            f"validation quadrature needs {kmax} phase crossings, above its cap of 3000000"
+        )
     for side, start, end in ((-1.0, min(vertex, hi), lo), (1.0, max(vertex, lo), hi)):
         if side * (end - start) <= 0.0:
             continue  # the vertex lies beyond this end of [lo, hi]

@@ -1,13 +1,14 @@
 """Imaginary-time minimization of the point-interaction energy.
 
 The semi-implicit step solves (I + tau H) u+ = u + tau F(u): the stiff
-Laplacian goes implicit, so tau ~ 0.25 is stable at any h, while the bounded
-nonlinearity stays explicit. Boundary rows are reflected-Neumann stencils and
-the two end values are re-projected to unit modulus after every step. That
-leaves the far-field phase free to rotate, which matters: initial data with
-kink-like ends (-1 and +1) can only reach the even-soliton orbit by unwinding
-one arm's phase, and a value-clamped boundary makes that sector change
-impossible for any descent path.
+Laplacian goes implicit, so the default tau = 0.9 is stable at any h, while
+the bounded nonlinearity, which keeps tau below 1, stays explicit. Boundary
+rows are reflected-Neumann stencils and the two end values are re-projected
+to unit modulus after every step. That leaves the far-field phase free to
+rotate, which matters: initial data with kink-like ends (-1 and +1) can only
+reach the even-soliton orbit by unwinding one arm's phase, and a
+value-clamped boundary makes that sector change impossible for any descent
+path.
 """
 
 from __future__ import annotations
@@ -15,16 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .energy import (
-    energy_gamma,
-    energy_gradient,
+    energy_values,
     extrapolated_energy,
-    nonlinear_F,
+    gradient_values,
+    nonlinear_values,
     orbit_distance,
 )
-from .grid import Field, GridSpec, apply_hgamma, build_hgamma, l2_norm
+from .grid import (
+    DeltaOperator,
+    Field,
+    GridSpec,
+    TridiagonalLU,
+    build_hgamma,
+    trapezoid_weights,
+)
 from .solitons import StateKind
 
 __all__ = [
@@ -43,14 +50,17 @@ BASIN_TOL = 0.05
 
 @dataclass(frozen=True)
 class FlowConfig:
-    tau: float | None = None  # default: 0.9 implicit, 0.1 h^2 explicit
-    implicit: bool = True
+    # The Laplacian is unconditionally stable implicit, and the explicitly
+    # treated nonlinearity (local stiffness 2 at unit modulus) allows tau < 1;
+    # 0.9 keeps the useful margin the energy guard never has to rescue in
+    # practice.
+    tau: float = 0.9
     max_iters: int = 50000
     grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau is not None and not self.tau > 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -86,28 +96,16 @@ class MinimizeReport:
     starts: tuple[StartReport, ...]
 
 
-class _ImplicitSolver:
-    """Factorization of (I + tau H) with reflected-Neumann end rows."""
-
-    def __init__(self, grid: GridSpec, gamma: float, tau: float):
-        op = build_hgamma(grid, gamma)
-        n = grid.n_nodes
-        diag = (1.0 + tau * op.diagonal).astype(complex)
-        diag[0] = diag[-1] = 1.0 + 2.0 * tau / grid.h**2
-        upper = np.full(n - 1, tau * op.off_diagonal, dtype=complex)
-        lower = upper.copy()
-        upper[0] *= 2.0
-        lower[-1] *= 2.0
-        dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._factors = (dl, d, du, du2, ipiv)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.zgttrs(*self._factors, rhs)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x
+def _implicit_factor(op: DeltaOperator, tau: float) -> TridiagonalLU:
+    """Factor (I + tau H) with reflected-Neumann end rows."""
+    grid = op.grid
+    diag = (1.0 + tau * op.diagonal).astype(complex)
+    diag[0] = diag[-1] = 1.0 + 2.0 * tau / grid.h**2
+    upper = np.full(grid.n_nodes - 1, tau * op.off_diagonal, dtype=complex)
+    lower = upper.copy()
+    upper[0] *= 2.0
+    lower[-1] *= 2.0
+    return TridiagonalLU(lower, diag, upper)
 
 
 def _postprocess(values: np.ndarray, odd: bool) -> np.ndarray:
@@ -135,35 +133,27 @@ def gradient_flow(
     iterate flagged as non-converged instead of raising.
     """
     grid = u0.grid
-    # Implicit default 0.9: the Laplacian is unconditionally stable implicit,
-    # and the explicitly treated nonlinearity (local stiffness 2 at unit
-    # modulus) allows tau < 1; 0.9 keeps the useful margin the energy guard
-    # never has to rescue in practice.
-    tau = cfg.tau if cfg.tau is not None else (0.9 if cfg.implicit else 0.1 * grid.h**2)
+    op = build_hgamma(grid, gamma)
+    weights = trapezoid_weights(grid)
+    tau = cfg.tau
     tau_floor = tau * 2.0**-50
+    solver = _implicit_factor(op, tau)
+
+    def f_and_grad(v):
+        # F(v) feeds both the gradient norm and the next step's right-hand side.
+        f = nonlinear_values(v)
+        grad = float(np.sqrt(np.sum(weights * np.abs(gradient_values(op, v, f)) ** 2)))
+        return f, grad
 
     u = _postprocess(u0.values.astype(complex, copy=True), odd_projection)
-    energy = energy_gamma(Field(grid, u), gamma).total
+    energy = energy_values(u, grid, gamma, weights).total
     energies = [energy]
-    solver = _ImplicitSolver(grid, gamma, tau) if cfg.implicit else None
-    op = build_hgamma(grid, gamma)
-
+    f, grad = f_and_grad(u)
     iterations = 0
-    converged = False
-    grad = l2_norm(energy_gradient(Field(grid, u), gamma))
-    while iterations < cfg.max_iters:
-        if grad < cfg.grad_tol:
-            converged = True
-            break
+    while iterations < cfg.max_iters and not grad < cfg.grad_tol:
         while True:
-            if cfg.implicit:
-                trial = solver.solve(u + tau * nonlinear_F(Field(grid, u)).values)
-            else:
-                descent = apply_hgamma(op, Field(grid, u)).values
-                descent -= nonlinear_F(Field(grid, u)).values
-                trial = u - tau * descent
-            trial = _postprocess(trial, odd_projection)
-            trial_energy = energy_gamma(Field(grid, trial), gamma).total
+            trial = _postprocess(solver.solve(u + tau * f), odd_projection)
+            trial_energy = energy_values(trial, grid, gamma, weights).total
             # Near convergence the true decrement tau*|grad|^2 sinks below the
             # resolution of double precision on E itself; insisting on a
             # measured decrease there would stall the contraction, so accept
@@ -175,16 +165,15 @@ def gradient_flow(
                 return FlowResult(
                     Field(grid, u), iterations, energy, False, grad, np.asarray(energies)
                 )
-            if cfg.implicit:
-                solver = _ImplicitSolver(grid, gamma, tau)
+            solver = _implicit_factor(op, tau)
         u, energy = trial, trial_energy
         energies.append(energy)
         iterations += 1
-        grad = l2_norm(energy_gradient(Field(grid, u), gamma))
-    else:
-        converged = grad < cfg.grad_tol
+        f, grad = f_and_grad(u)
 
-    return FlowResult(Field(grid, u), iterations, energy, converged, grad, np.asarray(energies))
+    return FlowResult(
+        Field(grid, u), iterations, energy, grad < cfg.grad_tol, grad, np.asarray(energies)
+    )
 
 
 def seeded_start(grid: GridSpec, seed: int, index: int = 0) -> Field:

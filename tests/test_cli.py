@@ -49,6 +49,7 @@ def test_no_subcommand_is_a_usage_error(capsys):
 def test_unknown_flag_is_a_usage_error(capsys):
     assert main(["spectrum", "--does-not-exist", "1"]) == 64
     assert main(["not-a-subcommand"]) == 64
+    assert main(["energy-table", "--jobs", "2"]) == 64
 
 
 def test_invalid_parameters_exit_1(tmp_path, capsys):
@@ -109,6 +110,7 @@ def test_manifest_contract(tmp_path):
     assert embedded["tool_version"] == gpdelta.__version__
     assert embedded["wall_time_s"] is None  # kept out of the deterministic copy
     assert "out" not in embedded["parameters"]
+    assert "jobs" not in embedded["parameters"]
     assert embedded["parameters"]["gamma"] == 1.0
     assert embedded["grid"] == {"L": 12.0, "h": 0.05, "M": 240, "n_nodes": 481}
     assert embedded["outputs"] == ["profiles.csv", "report.json"]
@@ -156,7 +158,7 @@ def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
 
 def test_energy_table_rows_and_accuracy(tmp_path):
     report, _ = run(tmp_path, "energy-table", "--gammas=1,-1",
-                    "--L", "15", "--h", "0.01", "--jobs", "2")
+                    "--L", "15", "--h", "0.01")
     res = report["results"]
     assert res["n_rows"] == 5  # kink+tanh at +1, kink+tanh+coth at -1
     assert res["max_abs_error"]["value"] < 5e-9  # coth extrapolation residual

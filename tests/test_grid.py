@@ -4,6 +4,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from gpdelta.grid import (
     Field,
+    TridiagonalLU,
     apply_hgamma,
     build_hgamma,
     l2_inner,
@@ -171,3 +172,44 @@ def test_attractive_delta_bound_state_eigenvalue():
     e = np.full(g.n_nodes - 3, op.off_diagonal)
     vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)
     assert abs(vals[0] + 0.25) < 2e-3
+
+
+def _dense_tridiagonal(lower, diag, upper):
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+def test_tridiagonal_lu_solves_both_end_row_layouts():
+    g = make_grid(2.0, 20)
+    op = build_hgamma(g, -0.7)
+    n = g.n_nodes
+    rng = np.random.default_rng(5)
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    # Crank-Nicolson: I + i dt/2 H inside, identity end rows.
+    z = 0.5j * 0.01
+    cn_diag = np.ones(n, dtype=complex)
+    cn_diag[1:-1] += z * op.diagonal[1:-1]
+    cn_upper = np.full(n - 1, z * op.off_diagonal, dtype=complex)
+    cn_lower = cn_upper.copy()
+    cn_upper[0] = cn_lower[-1] = 0.0
+
+    # Gradient flow: I + tau H with reflected-Neumann end rows.
+    tau = 0.9
+    gf_diag = (1.0 + tau * op.diagonal).astype(complex)
+    gf_diag[0] = gf_diag[-1] = 1.0 + 2.0 * tau / g.h**2
+    gf_upper = np.full(n - 1, tau * op.off_diagonal, dtype=complex)
+    gf_lower = gf_upper.copy()
+    gf_upper[0] *= 2.0
+    gf_lower[-1] *= 2.0
+
+    for bands in ((cn_lower, cn_diag, cn_upper), (gf_lower, gf_diag, gf_upper)):
+        x = TridiagonalLU(*bands).solve(rhs)
+        want = np.linalg.solve(_dense_tridiagonal(*bands), rhs)
+        np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
+
+
+def test_tridiagonal_lu_rejects_a_singular_matrix():
+    # Row 1 of the matrix is zero, so its pivot is exactly zero.
+    off = np.zeros(3, dtype=complex)
+    with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
+        TridiagonalLU(off, np.array([1.0, 0.0, 1.0, 1.0], dtype=complex), off)

@@ -56,6 +56,13 @@ def test_k0_negative_time_conjugates():
     assert np.array_equal(k0(-0.7, zeta), np.conj(k0(0.7, zeta)))
 
 
+def test_quadrature_oracle_cap_is_a_numerical_failure():
+    # A valid query whose phase crossings exceed the oracle's cap is a
+    # numerical failure (CLI exit 2), not invalid input (exit 1).
+    with pytest.raises(RuntimeError, match="phase crossings"):
+        gamma_kernel_by_quadrature(KernelQuery(5e-4, 5.0, 5.0, 0.5))
+
+
 def test_k0_rejects_zero_time():
     with pytest.raises(ValueError):
         k0(0.0, 1.0)

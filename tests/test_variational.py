@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gpdelta.energy import orbit_distance
-from gpdelta.grid import Field, make_grid
+from gpdelta.energy import energy_gamma, energy_gradient, orbit_distance
+from gpdelta.grid import Field, l2_norm, make_grid
 from gpdelta.solitons import StateKind, StationaryState, closed_form_energy, eval_state
 from gpdelta.variational import (
     FlowConfig,
@@ -89,12 +89,19 @@ def test_flow_reports_non_convergence_instead_of_raising(box):
     assert res.energies.shape == (6,)
 
 
-def test_explicit_stepping_also_descends():
+@pytest.mark.parametrize(
+    "gamma,odd", [(1.0, False), (-1.0, False), (1.0, True)], ids=["plus", "minus", "odd"]
+)
+def test_flow_agrees_with_the_field_api(gamma, odd):
+    # The flow runs on raw arrays; its reported numbers must be exactly what
+    # the public Field functions give on the returned field.
     g = make_grid(10.0, 100)
-    u0 = seeded_start(g, 3, 0)
-    res = gradient_flow(u0, 1.0, FlowConfig(implicit=False, max_iters=300))
-    assert np.all(np.diff(res.energies) <= 1e-15 * (1.0 + np.abs(res.energies[:-1])))
-    assert res.energies[-1] < res.energies[0]
+    res = gradient_flow(seeded_start(g, 3, 1), gamma, FlowConfig(max_iters=300),
+                        odd_projection=odd)
+    assert res.iterations > 0
+    assert res.energy == energy_gamma(res.field, gamma).total
+    assert res.energies[-1] == res.energy
+    assert res.grad_norm == l2_norm(energy_gradient(res.field, gamma))
 
 
 def test_boundary_modulus_collapse_is_detected(box):
