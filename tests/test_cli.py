@@ -50,6 +50,7 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert main(["spectrum", "--does-not-exist", "1"]) == 64
     assert main(["not-a-subcommand"]) == 64
     assert main(["energy-table", "--jobs", "2"]) == 64
+    assert main(["stationary", "--gamma", "1", "--format", "csv"]) == 64
 
 
 def test_invalid_parameters_exit_1(tmp_path, capsys):
@@ -80,11 +81,11 @@ def test_reports_are_byte_identical_across_runs_and_out_dirs(tmp_path):
 
 def test_instability_report_is_byte_identical_across_runs(tmp_path):
     # The sparse eigen-solve starts from a fixed vector and pins the mode's
-    # sign, so the interpolated initial perturbation, and with it every
-    # reported number, repeats exactly.
-    flags = ["--gamma", "1", "--L", "10", "--h", "0.1", "--h-run", "0.1", "--t-end", "2"]
-    for d in ("a", "b"):
-        assert main(["instability", *flags, "--out", str(tmp_path / d)]) == 0
+    # sign, so the initial perturbation, and with it every reported number,
+    # repeats exactly. --h-run is a second spelling of --h.
+    flags = ["--gamma", "1", "--L", "10", "--t-end", "2"]
+    for d, h in (("a", "--h"), ("b", "--h-run")):
+        assert main(["instability", *flags, h, "0.1", "--out", str(tmp_path / d)]) == 0
     for name in ("report.json", "growth.csv"):
         one = (tmp_path / "a" / "instability" / name).read_bytes()
         two = (tmp_path / "b" / "instability" / name).read_bytes()
@@ -111,6 +112,7 @@ def test_manifest_contract(tmp_path):
     assert embedded["wall_time_s"] is None  # kept out of the deterministic copy
     assert "out" not in embedded["parameters"]
     assert "jobs" not in embedded["parameters"]
+    assert "format" not in embedded["parameters"]
     assert embedded["parameters"]["gamma"] == 1.0
     assert embedded["grid"] == {"L": 12.0, "h": 0.05, "M": 240, "n_nodes": 481}
     assert embedded["outputs"] == ["profiles.csv", "report.json"]
@@ -137,17 +139,6 @@ def test_csv_single_header_and_17g_round_trip(tmp_path):
     for cell in lines[240].split(","):
         v = float(cell)  # every data cell parses
         assert f"{v:.17g}" == cell  # and the text is the shortest-exact form
-
-
-def test_format_flag_selects_outputs(tmp_path):
-    main(["stationary", "--gamma", "1", "--L", "10", "--h", "0.1",
-          "--format", "csv", "--out", str(tmp_path / "c")])
-    names = {p.name for p in (tmp_path / "c" / "stationary").iterdir()}
-    assert names == {"profiles.csv", "manifest.json"}
-    main(["stationary", "--gamma", "1", "--L", "10", "--h", "0.1",
-          "--format", "json", "--out", str(tmp_path / "j")])
-    names = {p.name for p in (tmp_path / "j" / "stationary").iterdir()}
-    assert names == {"report.json", "manifest.json"}
 
 
 def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
@@ -228,7 +219,7 @@ def test_lambda_curve_slope_near_origin(tmp_path):
 
 def test_instability_spectral_vs_fitted_rate(tmp_path):
     report, _ = run(tmp_path, "instability", "--gamma", "1", "--L", "20",
-                    "--h", "0.1", "--h-run", "0.05", "--dt", "0.005",
+                    "--h", "0.05", "--dt", "0.005",
                     "--t-end", "14")
     res = report["results"]
     assert res["mu_min"]["value"] < 0.0

@@ -5,6 +5,8 @@ Bars sit an order of magnitude above values measured on this implementation
 is being checked.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,20 +52,22 @@ def test_config_rejects_bad_values():
 
 def test_trajectory_rejects_inconsistent_records():
     g = make_grid(10.0, 100)
-    snaps = np.zeros((3, g.n_nodes), dtype=complex)
+    final = np.zeros(g.n_nodes, dtype=complex)
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0]), snaps, np.zeros(3))
+        Trajectory(g, np.array([0.0, 1.0]), np.zeros(3), None, final)
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0, 0.5]), snaps, np.zeros(3))
+        Trajectory(g, np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(2), final)
+    with pytest.raises(ValueError):
+        Trajectory(g, np.array([0.0, 1.0, 0.5]), np.zeros(3), None, final)
 
 
-def test_trajectory_field_returns_copy():
+def test_evolve_does_not_alias_its_input():
     g = make_grid(10.0, 100)
-    cfg = EvolveConfig(dt=1e-2, t_end=0.1, gamma=0.0, record_every=5)
-    tr = evolve(Field(g, np.ones(g.n_nodes, dtype=complex)), cfg)
-    f = tr.field(0)
-    f.values[0] = 99.0
-    assert tr.snapshots[0, 0] == 1.0
+    u0 = Field(g, np.ones(g.n_nodes, dtype=complex))
+    for t_end in (0.0, 0.1):  # no step taken, and ten
+        cfg = EvolveConfig(dt=1e-2, t_end=t_end, gamma=0.0, record_every=5)
+        evolve(u0, cfg).final[0] = 99.0
+        assert np.all(u0.values == 1.0)
 
 
 # ------------------------------------------------------------ invariants
@@ -74,15 +78,15 @@ def test_constant_background_is_stationary_without_delta():
     g = make_grid(20.0, 400)
     cfg = EvolveConfig(dt=1e-2, t_end=1.0, gamma=0.0, record_every=10)
     tr = evolve(Field(g, np.ones(g.n_nodes, dtype=complex)), cfg)
-    assert np.max(np.abs(tr.snapshots[-1] - 1.0)) < 1e-12  # measured 1.9e-14
+    assert np.max(np.abs(tr.final - 1.0)) < 1e-12  # measured 1.9e-14
 
 
 def test_phase_rotation_commutes_with_the_flow():
     g = make_grid(40.0, 1000)
     u0 = perturbed_b1(g)
     cfg = EvolveConfig(dt=1e-3, t_end=0.1, gamma=1.0)
-    ref = evolve(u0, cfg).snapshots[-1]
-    rot = evolve(Field(g, np.exp(0.7j) * u0.values), cfg).snapshots[-1]
+    ref = evolve(u0, cfg).final
+    rot = evolve(Field(g, np.exp(0.7j) * u0.values), cfg).final
     assert np.max(np.abs(rot - np.exp(0.7j) * ref)) < 1e-12  # measured 1.5e-14
 
 
@@ -92,7 +96,7 @@ def test_cn_step_matches_single_step_evolve():
     cfg = EvolveConfig(dt=1e-3, t_end=1e-3, gamma=1.0, record_every=1)
     one = cn_step(u0, cfg)
     tr = evolve(u0, cfg)
-    assert np.array_equal(one.values, tr.snapshots[-1])
+    assert np.array_equal(one.values, tr.final)
 
 
 def test_record_grid_is_consistent():
@@ -103,16 +107,24 @@ def test_record_grid_is_consistent():
     assert tr.times[-1] == pytest.approx(0.55)
     assert np.all(np.diff(tr.times) > 0)
     assert tr.energy_trace.shape == tr.times.shape
-    assert tr.snapshots.shape == (tr.times.size, g.n_nodes)
+    assert tr.final.shape == (g.n_nodes,)
 
 
 def test_linear_flow_preserves_the_l2_norm():
     # Cayley transform of a symmetric tridiagonal matrix is exactly unitary.
+    # A linear step ignores the predictor guess, so ten hops of 10 steps are
+    # the 100-step run, with its field at every hop's end.
     g = make_grid(40.0, 1000)
     u0 = Field(g, np.exp(-g.x**2) * (1.0 + 0.3j))
-    cfg = EvolveConfig(dt=1e-3, t_end=0.1, gamma=1.0, linear=True, record_every=10)
-    tr = evolve(u0, cfg)
-    norms = np.array([l2_norm(tr.field(i)) for i in range(tr.times.size)])
+    hop = EvolveConfig(dt=1e-3, t_end=0.01, gamma=1.0, linear=True, record_every=10)
+    u = u0
+    norms = [l2_norm(u0)]
+    for _ in range(10):
+        u = Field(g, evolve(u, hop).final)
+        norms.append(l2_norm(u))
+    whole = EvolveConfig(dt=1e-3, t_end=0.1, gamma=1.0, linear=True, record_every=10)
+    assert np.array_equal(u.values, evolve(u0, whole).final)
+    norms = np.array(norms)
     assert np.max(np.abs(norms - norms[0])) / norms[0] < 1e-9  # measured 2.1e-14
 
 
@@ -140,6 +152,22 @@ def test_energy_drift_shrinks_quadratically_in_dt():
     assert 2.5 < ratio < 6.5  # measured 3.97
 
 
+def test_evolve_memory_does_not_grow_with_the_records():
+    # Each record keeps two floats; a kept field per record would be 32 KiB
+    # each here, 12.5 MiB over these 400 records.
+    g = make_grid(20.0, 1000)
+    cfg = EvolveConfig(dt=1e-3, t_end=0.4, gamma=1.0, record_every=1)
+    u0 = perturbed_b1(g)
+    tracemalloc.start()
+    try:
+        tr = evolve(u0, cfg, orbit_target=B1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.times.size == 401 and tr.orbit_trace.size == 401
+    assert peak < 2 * 2**20
+
+
 # ------------------------------------------------------- soliton dynamics
 
 
@@ -152,7 +180,7 @@ def test_even_soliton_is_numerically_stationary():
         g = make_grid(40.0, M)
         b = eval_state(B1, g)
         tr = evolve(b, cfg)
-        final[M] = dinfty(tr.field(tr.times.size - 1), b)
+        final[M] = dinfty(Field(g, tr.final), b)
     assert 3.2 < final[4000] / final[8000] < 4.8  # measured 4.00
     assert final[16000] < 1e-6  # measured 6.1e-7
 
@@ -163,11 +191,11 @@ def test_small_perturbations_drift_continuously_with_their_size():
     b = eval_state(B1, g)
     bump = np.exp(-(g.x - 1.0) ** 2) * (1.0 + 1.0j)
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, gamma=1.0, record_every=1000)
-    ref = evolve(b, cfg).snapshots[-1]
+    ref = evolve(b, cfg).final
     finals = {}
     for eps in (0.02, 0.01):
         u0 = Field(g, b.values + eps * bump)
-        out = evolve(u0, cfg).snapshots[-1]
+        out = evolve(u0, cfg).final
         finals[eps] = dinfty(Field(g, out), Field(g, ref))
     ratio = finals[0.02] / finals[0.01]
     assert 1.5 < ratio < 3.0  # measured 2.001
@@ -183,7 +211,7 @@ def test_linear_evolution_matches_kernel_without_delta():
     u0 = Field(g, 1.0 + 0.4 * np.exp(-g.x**2) * (1.0 + 0.2j))
     v0 = Field(g, u0.values - 1.0)
     cfg = EvolveConfig(dt=2e-4, t_end=0.5, gamma=0.0, linear=True, record_every=2500)
-    cn = evolve(v0, cfg).snapshots[-1]
+    cn = evolve(v0, cfg).final
     ker = apply_propagator(v0, 0.5, 0.0).values
     rel = np.sqrt(np.sum(np.abs(cn - ker) ** 2) / np.sum(np.abs(ker) ** 2))
     assert rel < 2e-4  # measured 4.3e-5
@@ -210,7 +238,7 @@ def test_cn_kernel_gap_with_delta_stays_at_its_pinned_scale():
     g = make_grid(40.0, 4000)
     v0 = Field(g, 0.4 * np.exp(-g.x**2) * (1.0 + 0.2j))
     cfg = EvolveConfig(dt=2e-4, t_end=0.5, gamma=1.0, linear=True, record_every=2500)
-    cn = evolve(v0, cfg).snapshots[-1]
+    cn = evolve(v0, cfg).final
     ker = apply_propagator(v0, 0.5, 1.0).values
     rel = np.sqrt(np.sum(np.abs(cn - ker) ** 2) / np.sum(np.abs(ker) ** 2))
     assert 3e-3 < rel < 7e-3  # measured 4.79e-3
