@@ -21,9 +21,12 @@ rides an exponentially growing branch. Negative times come from the adjoint
 relation Gamma(-t,x,y) = conj(Gamma(t,x,y)).
 
 The defining integrals oscillate without decay in s, so they are kept only as
-a validation route (gamma_kernel_by_quadrature): the integrand's quadratic
-phase is split at its pi-crossings and each segment gets a Gauss-Legendre
-rule whose order is doubled until the total stabilizes.
+a validation route (gamma_kernel_by_quadrature) and for the finite-interval
+split piece: each is a sum of integrals along steepest-descent paths of the
+quadratic phase, (s + c)^2 = (s0 + c)^2 + i q^2, on which the oscillation
+becomes the Gaussian e^{-q^2/(4t)}. One Gauss-Legendre rule in a sinh-mapped
+q, doubled from order 64 to 256 until two levels agree, costs the same at
+every t (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad
 from scipy.special import wofz
 
 from .grid import Field, trapezoid_weights
@@ -133,29 +135,67 @@ def g_func(t: float, rho: float, gamma: float) -> complex:
     return -0.5 * cmath.exp(1j * b * b / (4.0 * t)) * cmath.exp(-0.25j * gamma * gamma * t) * complex(w_erfc(arg))
 
 
-def _gamma1_by_gk(t: float, a: float, gamma: float) -> complex:
-    """Finite-interval piece -(|g|/2) int_0^{a/2} e^{-|g|s/2} K0(t, s-a) ds.
+# ---------------------------------------------------------------------------
+# The defining s-integrals, on the steepest-descent paths of their phase.
 
-    Adaptive Gauss-Kronrod; the subdivision limit is sized from the Fresnel
-    oscillation count 3a^2/(16 pi t) so the worst corner (a = 20, small t)
-    still converges.
+_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gl_rule(order: int):
+    if order not in _GL_CACHE:
+        _GL_CACHE[order] = leggauss(order)
+    return _GL_CACHE[order]
+
+
+# Gauss-Legendre orders of the path rule, each double the last.
+_ORDERS = (64, 128, 256)
+
+
+def _descent(t: float, c: float, s0: float, ag: float, side: float) -> complex:
+    """int_{s0}^{inf} e^{-ag s/2} e^{i (s+c)^2/(4t)} ds along a steepest-descent path.
+
+    The path (s + c)^2 = (s0 + c)^2 + i q^2, q >= 0, leaves s0 toward 45
+    degrees (side = +1) or 225 degrees (side = -1); side is the sign of
+    s0 + c unless that is zero. On it the phase factor is the Gaussian
+    e^{-q^2/(4t)}, cut where it falls below 1e-40. s + c = side sqrt((s0 + c)^2
+    + i q^2) has branch points at |q| = |s0 + c|, which may lie far inside
+    the Gaussian's width; the rule runs in v with q = |s0 + c| sinh v, which
+    keeps them a fixed distance from the real v axis. The orders in _ORDERS
+    are tried in turn and the value is returned once two agree; an
+    unconverged value raises RuntimeError instead.
+
+    c = a for gamma > 0 and c = -a for gamma < 0 (-0.0 when a = 0), so the
+    failure message can name the query (t, a, gamma).
     """
-    if a == 0.0:
-        return 0.0j
-    ag = abs(gamma)
-    pref = cmath.exp(-1j * math.pi / 4.0) / (2.0 * math.sqrt(math.pi * t))
-    quarter_t = 4.0 * t
+    u0 = s0 + c
+    b = abs(u0)
+    qmax = math.sqrt(160.0 * math.log(10.0) * t)
+    vmax = math.asinh(qmax / b) if b > 0.0 else qmax
 
-    def f(s):
-        return math.exp(-0.5 * ag * s) * pref * cmath.exp(1j * (s - a) ** 2 / quarter_t)
+    def level(order: int) -> tuple[complex, float]:
+        nodes, wts = _gl_rule(order)
+        v = 0.5 * vmax * (nodes + 1.0)
+        q, dq = (b * np.sinh(v), b * np.cosh(v)) if b > 0.0 else (v, 1.0)
+        u = side * np.sqrt(u0 * u0 + 1j * q * q)
+        f = np.exp(-0.5 * ag * (u - c) - q * q / (4.0 * t)) * (1j * q / u) * dq
+        contrib = (0.5 * vmax) * wts * f
+        return complex(np.sum(contrib)), float(np.sum(np.abs(contrib)))
 
-    limit = int(3.0 * a * a / (16.0 * math.pi * t)) * 2 + 200
-    # full_output swallows the roundoff warning QUADPACK emits when pushed
-    # to its noise floor (~1e-14 here); the returned value is still the best
-    # available and the split-identity tests hold it to account.
-    res = quad(f, 0.0, 0.5 * a, epsabs=1e-13, epsrel=1e-13,
-               limit=min(limit, 400_000), complex_func=True, full_output=True)
-    return -(0.5 * ag) * res[0]
+    prev, _ = level(_ORDERS[0])
+    for order in _ORDERS[1:]:
+        total, mass = level(order)
+        diff = abs(total - prev)
+        # leggauss weights err near 1e-13 relative at these orders, so level
+        # differences plateau near 400 eps * mass even without cancellation
+        # (the 45-degree vertex ray at |gamma| = 5, t = 1).
+        if diff <= max(1e-13 * abs(total), 1024.0 * np.finfo(float).eps * mass):
+            return cmath.exp(1j * u0 * u0 / (4.0 * t)) * total
+        prev = total
+    raise RuntimeError(
+        f"kernel quadrature did not converge at t = {t:.17g}, a = {abs(c):.17g}, "
+        f"gamma = {math.copysign(ag, c):.17g} (path from s = {s0:.17g}): "
+        f"orders {_ORDERS[-2]} and {_ORDERS[-1]} differ by {diff:.3g}"
+    )
 
 
 def gamma_kernel(q: KernelQuery) -> KernelValue:
@@ -179,7 +219,10 @@ def gamma_kernel(q: KernelQuery) -> KernelValue:
     if q.gamma > 0.0:
         return KernelValue(total)
     ag = abs(q.gamma)
-    part1 = _gamma1_by_gk(q.t, a, q.gamma)
+    # K0(t, s - a) = K0(t, 0) e^{i (s - a)^2/(4t)}: the paths from 0 and from
+    # a/2 leave the same way, so their difference is the integral over [0, a/2].
+    part1 = -(0.5 * ag) * k0(q.t, 0.0) * (
+        _descent(q.t, -a, 0.0, ag, -1.0) - _descent(q.t, -a, 0.5 * a, ag, -1.0))
     part2 = (
         -(0.5 * ag)
         * cmath.exp(0.25j * q.gamma * q.gamma * q.t)
@@ -189,96 +232,16 @@ def gamma_kernel(q: KernelQuery) -> KernelValue:
     return KernelValue(total, part1, part2)
 
 
-# ---------------------------------------------------------------------------
-# Validation route: segmented Gauss-Legendre on the defining integrals.
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _phase_edges(lo: float, hi: float, t: float, shift: float, block: int):
-    """Breakpoints of (s + shift)^2/(4t) at multiples of pi inside [lo, hi].
-
-    The phase is quadratic with vertex at s = -shift; splitting there and at
-    every pi-crossing bounds the phase change per segment by pi, which a
-    modest Gauss-Legendre rule resolves to machine precision. The edges come
-    one side of the vertex at a time, outward from it, in runs of at most
-    block + 1 points; consecutive runs share their end point. Memory is
-    O(block) however many crossings the range holds.
-    """
-    vertex = -shift
-    kmax = int(max((lo + shift) ** 2, (hi + shift) ** 2) / (4.0 * t * math.pi)) + 1
-    if kmax > 3_000_000:
-        raise RuntimeError(
-            f"validation quadrature needs {kmax} phase crossings, above its cap of 3000000"
-        )
-    for side, start, end in ((-1.0, min(vertex, hi), lo), (1.0, max(vertex, lo), hi)):
-        if side * (end - start) <= 0.0:
-            continue  # the vertex lies beyond this end of [lo, hi]
-        prev = start
-        for k0 in range(1, kmax + 1, block):
-            r = 2.0 * np.sqrt(t * math.pi * np.arange(k0, min(k0 + block, kmax + 1)))
-            cand = vertex + side * r
-            inside = cand[(cand > lo) & (cand < hi)]
-            if inside.size:
-                yield np.concatenate(([prev], inside))
-                prev = inside[-1]
-            if side * (cand[-1] - end) >= 0.0:
-                break
-        yield np.array([prev, end])
-
-
-# Quadrature nodes evaluated at once: bounds the temporaries to about 1 MB
-# each, whatever the query.
-_CHUNK_NODES = 1 << 16
-
-
-def _integrate_segments(f, edge_runs, reltol: float = 1e-13) -> complex:
-    """Sum of Gauss-Legendre rules over the segments of edge_runs(block).
-
-    edge_runs(block) yields runs of at most block + 1 monotone edges; each
-    run's segments are integrated together.
-    """
-
-    def level(order: int) -> tuple[complex, float]:
-        nodes, wts = _gl_rule(order)
-        total = 0.0j
-        mass = 0.0
-        for edges in edge_runs(max(1, _CHUNK_NODES // order)):
-            mid = 0.5 * (edges[1:, None] + edges[:-1, None])
-            half = 0.5 * np.abs(np.diff(edges))[:, None]
-            contrib = half * wts[None, :] * f(mid + half * nodes[None, :])
-            total += complex(np.sum(contrib))
-            mass += float(np.sum(np.abs(contrib)))
-        return total, mass
-
-    prev, _ = level(12)
-    order = 24
-    for _ in range(4):
-        total, mass = level(order)
-        # Heavy cancellation: the achievable accuracy is limited by roundoff
-        # on the absolute mass, not by the quadrature order. Observed level
-        # differences plateau near 40 eps * mass at the worst corners; the
-        # factor below leaves a decade of slack without hiding real error.
-        noise = 1024.0 * np.finfo(float).eps * mass
-        if abs(total - prev) <= max(reltol * abs(total), noise):
-            return total
-        prev = total
-        order *= 2
-    raise RuntimeError("validation quadrature failed to stabilize")
-
-
 def gamma_kernel_by_quadrature(q: KernelQuery) -> complex:
     """Gamma(t,x,y) straight from the defining s-integral.
 
-    Truncates the damped factor at e^{-|gamma| s/2} < 1e-16 and integrates the
-    oscillatory remainder segment by segment. Slow and deliberate; exists to
-    check the closed form, not to be used in anger.
+    The half line [0, inf) is moved onto steepest-descent paths of the
+    integrand's quadratic phase (_descent). For gamma > 0 one path from s = 0
+    suffices. For gamma < 0 the phase has its vertex at s = a inside the
+    range: the path from 0 runs out toward 225 degrees, so the ray from the
+    vertex toward 225 degrees is taken off and the ray from the vertex
+    toward 45 degrees added. Exists to check the closed form, which it
+    never calls.
     """
     if q.t < 0.0:
         return gamma_kernel_by_quadrature(
@@ -289,18 +252,12 @@ def gamma_kernel_by_quadrature(q: KernelQuery) -> complex:
     t, gamma = q.t, q.gamma
     a = abs(q.x) + abs(q.y)
     ag = abs(gamma)
-    s_max = 2.0 * 16.0 * math.log(10.0) / ag
-    pref = cmath.exp(-1j * math.pi / 4.0) / (2.0 * math.sqrt(math.pi * t))
-    shift = a if gamma > 0.0 else -a
-
-    def f(s):
-        return np.exp(-0.5 * ag * s) * pref * np.exp(1j * (s + shift) ** 2 / (4.0 * t))
-
-    total = -(0.5 * ag) * _integrate_segments(
-        f, lambda block: _phase_edges(0.0, s_max, t, shift, block))
-    if gamma < 0.0:
-        total += (0.5 * ag) * cmath.exp(0.25j * gamma * gamma * t) * math.exp(-0.5 * ag * a)
-    return total
+    pref = -(0.5 * ag) * k0(t, 0.0)
+    if gamma > 0.0:
+        return pref * _descent(t, a, 0.0, ag, 1.0)
+    paths = (_descent(t, -a, 0.0, ag, -1.0) - _descent(t, -a, a, ag, -1.0)
+             + _descent(t, -a, a, ag, 1.0))
+    return pref * paths + (0.5 * ag) * cmath.exp(0.25j * gamma * gamma * t) * math.exp(-0.5 * ag * a)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gpdelta
+from gpdelta import propagator
 from gpdelta.cli import main
 
 PROVENANCES = {"closed_form", "discrete", "fitted"}
@@ -92,12 +93,14 @@ def test_instability_report_is_byte_identical_across_runs(tmp_path):
         assert one == two
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal nearly doubles the start-up time of every subcommand.
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+def test_cli_import_does_not_load(module):
+    # scipy.signal nearly doubles the start-up time of every subcommand, and
+    # the kernel quadrature needs nothing from scipy.integrate.
     src = str(Path(gpdelta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, gpdelta.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, gpdelta.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
@@ -158,12 +161,28 @@ def test_energy_table_rows_and_accuracy(tmp_path):
 
 
 def test_kernel_check_accuracy(tmp_path):
-    report, _ = run(tmp_path, "kernel-check", "--n-queries", "4")
-    res = report["results"]
-    assert res["max_rel_error"]["value"] < 1e-9
-    assert res["max_split_error"]["value"] < 1e-10
-    lines = (tmp_path / "kernel-check" / "queries.csv").read_text().splitlines()
-    assert len(lines) == 1 + 4
+    # Seed 113's 11th query (t = 4.0e-4, a = 16.1) needs 3.4e6 phase
+    # crossings on the real line.
+    for seed, n in (("0", 4), ("113", 11)):
+        out = tmp_path / seed
+        report, _ = run(out, "kernel-check", "--n-queries", str(n), "--seed", seed)
+        res = report["results"]
+        assert res["max_rel_error"]["value"] < 1e-9
+        assert res["max_split_error"]["value"] < 1e-10
+        lines = (out / "kernel-check" / "queries.csv").read_text().splitlines()
+        assert len(lines) == 1 + n
+
+
+def test_kernel_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # Orders this low cannot agree: the path rule must raise, not return.
+    monkeypatch.setattr(propagator, "_ORDERS", (2, 4))
+    code = main(["kernel-check", "--n-queries", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: kernel quadrature did not converge at t = " in err
+    assert ", a = " in err and ", gamma = " in err
+    assert "orders 2 and 4 differ by " in err
+    assert not (tmp_path / "kernel-check").exists()
 
 
 def test_evolve_perturbed_soliton(tmp_path):
