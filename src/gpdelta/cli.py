@@ -1,7 +1,7 @@
 """Command-line front end: one subcommand per experiment, file reports out.
 
 Every run writes into <out>/<subcommand>/: the data CSVs and report.json are
-deterministic for fixed flags (including --seed), so they work as diffable
+deterministic for fixed flags, seeds included, so they work as diffable
 regression fixtures; manifest.json additionally records wall time and the
 produced file list, which is why it is the one file allowed to differ between
 otherwise identical runs.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +36,7 @@ from .solitons import (
     StationaryState,
     closed_form_energy,
     eval_state,
+    families,
     theta_gamma,
     theta_tilde,
 )
@@ -55,8 +57,23 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # No prefix matching: kernel-check --h would otherwise mean --help.
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
+
+
+def _finite(text: str) -> float:
+    """argparse type of every float flag: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _num(value, provenance: str) -> dict:
@@ -104,9 +121,9 @@ def _grid_summary(grid: GridSpec | None):
 
 def _parse_gammas(text: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as err:
-        raise ValueError(f"bad --gammas list: {text!r}") from err
+        vals = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError as err:
+        raise ValueError(f"bad --gammas list {text!r}: {err}") from err
     if not vals:
         raise ValueError("empty --gammas list")
     return vals
@@ -119,14 +136,11 @@ def _run_stationary(args):
     if args.gamma == 0.0:
         raise ValueError("stationary families need gamma != 0")
     grid = _grid_from(args)
-    kinds = [StateKind.KINK, StateKind.EVEN_TANH]
-    if args.gamma < 0.0:
-        kinds.append(StateKind.EVEN_COTH)
 
     header = ["x"]
     cols = [grid.x]
     results = {}
-    for kind in kinds:
+    for kind in families(args.gamma):
         state = StationaryState(kind, args.gamma)
         u = eval_state(state, grid)
         name = kind.name.lower()
@@ -156,10 +170,7 @@ def _run_energy_table(args):
 
     rows = []
     for gamma in gammas:
-        kinds = [StateKind.KINK, StateKind.EVEN_TANH]
-        if gamma < 0.0:
-            kinds.append(StateKind.EVEN_COTH)
-        for kind in kinds:
+        for kind in families(gamma):
             state = StationaryState(kind, gamma)
             u = eval_state(state, grid)
             exact = closed_form_energy(state)
@@ -227,12 +238,7 @@ def _build_initial_state(args, grid):
         if args.gamma != 0.0:
             raise ValueError("the constant background is stationary only at gamma = 0")
         return Field(grid, np.ones(grid.n_nodes, dtype=complex)), None
-    kind = _STATE_NAMES[args.state]
-    if kind is StateKind.EVEN_COTH and args.gamma >= 0.0:
-        raise ValueError("even-coth exists only for gamma < 0")
-    if kind is not StateKind.KINK and args.gamma == 0.0:
-        raise ValueError("even states need gamma != 0")
-    state = StationaryState(kind, args.gamma)
+    state = StationaryState(_STATE_NAMES[args.state], args.gamma)
     if args.perturb_seed is None:
         return eval_state(state, grid), state
     u0 = seeded_perturbation(state, grid, seed=args.perturb_seed, target_d0=args.target_d0)
@@ -271,6 +277,8 @@ def _run_evolve(args):
 def _run_stability_sweep(args):
     if args.gamma == 0.0:
         raise ValueError("stability sweep needs gamma != 0")
+    if args.n_seeds < 1:
+        raise ValueError(f"need at least one seed, got --n-seeds {args.n_seeds}")
     grid = _grid_from(args)
     kind = StateKind.EVEN_TANH if args.gamma > 0.0 else StateKind.EVEN_COTH
     state = StationaryState(kind, args.gamma)
@@ -330,8 +338,6 @@ def _run_lambda_curve(args):
 
 
 def _run_instability(args):
-    if args.gamma <= 0.0:
-        raise ValueError("instability analysis requires gamma > 0")
     grid = _grid_from(args)
     rep = instability_eigenvalue(args.gamma, grid)
 
@@ -424,13 +430,17 @@ _RUNNERS = {
 # ------------------------------------------------------------------ driver
 
 
-def _add_shared(sp, *, L, h, dt=1e-3, t_end=None):
-    sp.add_argument("--L", type=float, default=L)
-    sp.add_argument("--h", type=float, default=h)
-    sp.add_argument("--dt", type=float, default=dt)
+def _add_shared(sp, *, L=None, h=None, dt=None, t_end=None, seed=False):
+    """--out everywhere; grid, time and seed flags only where the runner reads them."""
+    if L is not None:
+        sp.add_argument("--L", type=_finite, default=L)
+        sp.add_argument("--h", type=_finite, default=h)
+    if dt is not None:
+        sp.add_argument("--dt", type=_finite, default=dt)
     if t_end is not None:
-        sp.add_argument("--t-end", dest="t_end", type=float, default=t_end)
-    sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--t-end", dest="t_end", type=_finite, default=t_end)
+    if seed:
+        sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
 
 
@@ -440,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("stationary", help="soliton profiles and their energies")
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
     _add_shared(sp, L=40.0, h=0.005)
 
     sp = subs.add_parser("energy-table", help="closed-form vs discrete energy table")
@@ -449,26 +459,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("kernel-check", help="propagator kernel vs quadrature oracle")
     sp.add_argument("--n-queries", dest="n_queries", type=int, default=50)
-    _add_shared(sp, L=40.0, h=0.005)
+    _add_shared(sp, seed=True)
 
     sp = subs.add_parser("evolve", help="Crank-Nicolson run from a chosen state")
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
     sp.add_argument("--state", choices=sorted(_STATE_NAMES) + ["constant"],
                     default="even-tanh")
     sp.add_argument("--perturb-seed", dest="perturb_seed", type=int, default=None)
-    sp.add_argument("--target-d0", dest="target_d0", type=float, default=0.04)
+    sp.add_argument("--target-d0", dest="target_d0", type=_finite, default=0.04)
     sp.add_argument("--record-every", dest="record_every", type=int, default=100)
-    _add_shared(sp, L=40.0, h=0.005, t_end=1.0)
+    _add_shared(sp, L=40.0, h=0.005, dt=1e-3, t_end=1.0)
 
     sp = subs.add_parser("stability-sweep", help="orbital stability over seeded starts")
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
     sp.add_argument("--n-seeds", dest="n_seeds", type=int, default=10)
-    sp.add_argument("--target-d0", dest="target_d0", type=float, default=0.04)
+    sp.add_argument("--target-d0", dest="target_d0", type=_finite, default=0.04)
     sp.add_argument("--record-every", dest="record_every", type=int, default=100)
     _add_shared(sp, L=40.0, h=0.02, dt=2e-3, t_end=50.0)
 
     sp = subs.add_parser("spectrum", help="eigenvalues below the essential edges")
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
     _add_shared(sp, L=30.0, h=0.01)
 
     sp = subs.add_parser("lambda-curve", help="lowest amplitude-block eigenvalue vs gamma")
@@ -476,20 +486,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(sp, L=30.0, h=0.01)
 
     sp = subs.add_parser("instability", help="growing mode: spectral value vs fitted rate")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=1e-4)
+    sp.add_argument("--gamma", type=_finite, required=True)
+    sp.add_argument("--eps", type=_finite, default=1e-4)
     sp.add_argument("--record-every", dest="record_every", type=int, default=50)
-    _add_shared(sp, L=30.0, h=0.01, t_end=20.0)
+    _add_shared(sp, L=30.0, h=0.01, dt=1e-3, t_end=20.0)
     # A second spelling of --h: the benchmark's tiny instability flags pass both.
-    sp.add_argument("--h-run", dest="h", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--h-run", dest="h", type=_finite, default=argparse.SUPPRESS)
 
     sp = subs.add_parser("minimize", help="gradient-flow basin survey")
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
     sp.add_argument("--n-starts", dest="n_starts", type=int, default=10)
     sp.add_argument("--odd", action="store_true")
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=50000)
-    sp.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-8)
-    _add_shared(sp, L=40.0, h=0.02)
+    sp.add_argument("--grad-tol", dest="grad_tol", type=_finite, default=1e-8)
+    _add_shared(sp, L=40.0, h=0.02, seed=True)
 
     return parser
 

@@ -266,6 +266,8 @@ def seeded_perturbation(
     proportional rescale can land 2x off target; solve for the scale with a
     bracketed root find instead.
     """
+    if target_d0 <= 0.0:
+        raise ValueError(f"target_d0 must be positive, got {target_d0}")
     rng = np.random.default_rng([1, seed])
     centers = rng.uniform(-5.0, 5.0, 3)
     widths = rng.uniform(0.6, 2.0, 3)

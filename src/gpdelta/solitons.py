@@ -24,6 +24,7 @@ from .grid import Field, GridSpec
 __all__ = [
     "StateKind",
     "StationaryState",
+    "families",
     "c_gamma",
     "theta_gamma",
     "theta_tilde",
@@ -54,6 +55,11 @@ class StationaryState:
             raise ValueError("even states degenerate at gamma = 0; use the kink")
         if self.kind is StateKind.EVEN_COTH and self.gamma >= 0.0:
             raise ValueError("the coth state exists only for attractive gamma < 0")
+
+
+def families(gamma: float) -> tuple[StateKind, ...]:
+    """Families that exist at gamma: kink, even tanh if gamma != 0, even coth if gamma < 0."""
+    return tuple(StateKind)[: 1 + (gamma != 0.0) + (gamma < 0.0)]
 
 
 def c_gamma(gamma: float) -> float:

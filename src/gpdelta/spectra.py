@@ -28,11 +28,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import eigs
 
-from .grid import DeltaOperator, GridSpec, build_hgamma
+from .grid import GridSpec, build_hgamma
 
 __all__ = [
     "Which",
-    "SchroedingerMatrix",
     "SpectralReport",
     "build_lpm",
     "eigs_below",
@@ -44,32 +43,12 @@ __all__ = [
 _SQRT2 = float(np.sqrt(2.0))
 EDGE_LMINUS = 0.0
 EDGE_LPLUS = 2.0
+Bands = tuple[np.ndarray, np.ndarray]  # (diagonal, off-diagonal), symmetric
 
 
 class Which(enum.Enum):
     LMINUS = "lminus"
     LPLUS = "lplus"
-
-
-@dataclass(frozen=True)
-class SchroedingerMatrix:
-    """Interior restriction of H_gamma plus a bounded real potential."""
-
-    base: DeltaOperator
-    potential: np.ndarray
-    which: Which
-
-    def __post_init__(self):
-        if self.potential.shape != (self.base.grid.n_nodes - 2,):
-            raise ValueError("potential must be sampled on the interior nodes")
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.base.diagonal[1:-1] + self.potential
-
-    @property
-    def off_diagonal(self) -> np.ndarray:
-        return np.full(self.potential.size - 1, self.base.off_diagonal)
 
 
 @dataclass(frozen=True)
@@ -100,8 +79,9 @@ class SpectralReport:
             raise ValueError("growth_rate must be present exactly when mu_min < 0")
 
 
-def build_lpm(grid: GridSpec, gamma: float, which: Which) -> SchroedingerMatrix:
-    base = build_hgamma(grid, gamma)
+def build_lpm(grid: GridSpec, gamma: float, which: Which) -> Bands:
+    """Interior bands (diagonal, off) of H_gamma plus the block's potential."""
+    op = build_hgamma(grid, gamma)
     sech2 = 1.0 / np.cosh(grid.x[1:-1] / _SQRT2) ** 2
     if which is Which.LMINUS:
         potential = -sech2
@@ -109,11 +89,11 @@ def build_lpm(grid: GridSpec, gamma: float, which: Which) -> SchroedingerMatrix:
         potential = 2.0 - 3.0 * sech2
     else:
         raise ValueError(f"unknown operator tag: {which!r}")
-    return SchroedingerMatrix(base, potential, which)
+    return op.diagonal[1:-1] + potential, np.full(sech2.size - 1, op.off_diagonal)
 
 
 def eigs_below(
-    m: SchroedingerMatrix,
+    bands: Bands,
     edge: float,
     k_max: int = 64,
     with_vectors: bool = False,
@@ -123,10 +103,10 @@ def eigs_below(
     Sturm bisection (stebz) to 1e-10 for the values; stein inverse iteration
     supplies eigenvectors when requested.
     """
-    d = m.diagonal
-    lo = float(np.min(d)) - 2.0 * abs(m.base.off_diagonal) - 1.0
+    d, off = bands
+    lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(off), initial=0.0)) - 1.0
     res = eigh_tridiagonal(
-        d, m.off_diagonal, eigvals_only=not with_vectors, select="v",
+        d, off, eigvals_only=not with_vectors, select="v",
         select_range=(lo, edge), lapack_driver="stebz", tol=1e-10,
     )
     vals, vecs = res if with_vectors else (res, None)
@@ -137,9 +117,9 @@ def eigs_below(
     return (vals, vecs[:, keep]) if with_vectors else vals
 
 
-def _lowest_eigenvalue(m: SchroedingerMatrix) -> float:
+def _lowest_eigenvalue(bands: Bands) -> float:
     val = eigh_tridiagonal(
-        m.diagonal, m.off_diagonal, eigvals_only=True, select="i",
+        *bands, eigvals_only=True, select="i",
         select_range=(0, 0), lapack_driver="stebz", tol=1e-10,
     )
     return float(val[0])
@@ -166,9 +146,9 @@ def lambda_curve(gammas, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _sparse(m: SchroedingerMatrix):
-    off = m.off_diagonal
-    return diags([off, m.diagonal, off], [-1, 0, 1], format="csc")
+def _sparse(bands: Bands):
+    d, off = bands
+    return diags([off, d, off], [-1, 0, 1], format="csc")
 
 
 def spectral_report(gamma: float, grid: GridSpec, k_max: int = 64) -> SpectralReport:
@@ -206,7 +186,7 @@ def instability_eigenvalue(gamma: float, grid: GridSpec, k_max: int = 64) -> Spe
             f"amplitude block is not positive on this grid: lowest eigenvalue {lowest:.3e}"
         )
     p, m = _sparse(lp), _sparse(lm)
-    n = lp.potential.size
+    n = lp[0].size
     vals, vecs = eigs(bmat([[None, p], [-m, None]], format="csc"), k=1, sigma=1.0,
                       v0=np.ones(2 * n))
     lam = complex(vals[0])

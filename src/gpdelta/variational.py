@@ -32,7 +32,7 @@ from .grid import (
     build_hgamma,
     trapezoid_weights,
 )
-from .solitons import StateKind
+from .solitons import StateKind, families
 
 __all__ = [
     "FlowConfig",
@@ -196,12 +196,9 @@ def seeded_start(grid: GridSpec, seed: int, index: int = 0) -> Field:
 
 
 def _classify(u: Field, gamma: float) -> tuple[StateKind | None, float]:
-    kinds = [StateKind.KINK, StateKind.EVEN_TANH]
-    if gamma < 0.0:
-        kinds.append(StateKind.EVEN_COTH)
     best_kind = None
     best = np.inf
-    for kind in kinds:
+    for kind in families(gamma):
         d = orbit_distance(u, kind, gamma).distance
         if d < best:
             best_kind, best = kind, d

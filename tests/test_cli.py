@@ -5,6 +5,7 @@ here are smoke-level, the real accuracy checks live in the module suites and
 in test_acceptance.py.
 """
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import gpdelta
-from gpdelta import propagator
+from gpdelta import cli, propagator
 from gpdelta.cli import main
 
 PROVENANCES = {"closed_form", "discrete", "fitted"}
@@ -52,6 +53,26 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert main(["not-a-subcommand"]) == 64
     assert main(["energy-table", "--jobs", "2"]) == 64
     assert main(["stationary", "--gamma", "1", "--format", "csv"]) == 64
+    # Non-finite numbers are refused at the parse edge, like --gamma abc.
+    assert main(["minimize", "--gamma", "nan"]) == 64
+    assert main(["stationary", "--gamma", "inf"]) == 64
+    assert main(["stationary", "--gamma", "1", "--L", "inf"]) == 64
+    assert main(["evolve", "--gamma", "1", "--t-end", "inf"]) == 64
+    assert main(["instability", "--gamma", "1", "--h-run", "-inf"]) == 64
+    assert "expected a finite number, got 'nan'" in capsys.readouterr().err
+    # Flags a subcommand never reads are not declared.
+    for sub, flag in (
+        ("stationary", "--dt"), ("stationary", "--seed"),
+        ("energy-table", "--dt"), ("energy-table", "--seed"),
+        ("kernel-check", "--L"), ("kernel-check", "--h"), ("kernel-check", "--dt"),
+        ("evolve", "--seed"), ("stability-sweep", "--seed"),
+        ("spectrum", "--dt"), ("spectrum", "--seed"),
+        ("lambda-curve", "--dt"), ("lambda-curve", "--seed"),
+        ("instability", "--seed"), ("minimize", "--dt"),
+    ):
+        gamma = [] if sub in ("energy-table", "kernel-check", "lambda-curve") else ["--gamma", "1"]
+        assert main([sub, *gamma, flag, "1"]) == 64, (sub, flag)
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_invalid_parameters_exit_1(tmp_path, capsys):
@@ -60,6 +81,15 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert main(["stationary", "--gamma", "1", "--L", "2", "--h", "3",
                  "--out", str(tmp_path)]) == 1
     assert main(["energy-table", "--gammas=1,oops", "--out", str(tmp_path)]) == 1
+    assert main(["lambda-curve", "--gammas=0,inf", "--out", str(tmp_path)]) == 1
+    assert "expected a finite number, got 'inf'" in capsys.readouterr().err
+    assert main(["stability-sweep", "--gamma", "1", "--n-seeds", "0",
+                 "--out", str(tmp_path)]) == 1
+    assert "--n-seeds 0" in capsys.readouterr().err
+    assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1",
+                 "--perturb-seed", "1", "--target-d0", "0", "--out", str(tmp_path)]) == 1
+    assert "target_d0 must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_divergent_timestep_exits_2(tmp_path, capsys):
@@ -116,11 +146,51 @@ def test_manifest_contract(tmp_path):
     assert "out" not in embedded["parameters"]
     assert "jobs" not in embedded["parameters"]
     assert "format" not in embedded["parameters"]
+    assert "dt" not in embedded["parameters"]  # stationary has no time step
+    assert "seed" not in embedded["parameters"]  # nor anything random
     assert embedded["parameters"]["gamma"] == 1.0
     assert embedded["grid"] == {"L": 12.0, "h": 0.05, "M": 240, "n_nodes": 481}
     assert embedded["outputs"] == ["profiles.csv", "report.json"]
     assert manifest["wall_time_s"] > 0.0
     assert manifest["outputs"] == ["profiles.csv", "report.json"]
+
+
+class _ReadLog(argparse.Namespace):
+    """Namespace that records which attributes the runner reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+# Small flags that also reach the conditional reads: --target-d0 needs a
+# perturbation, and instability's run flags need a growing mode (gamma > 0).
+_READ_CASES = {
+    "stationary": ["--gamma", "-1", "--L", "10", "--h", "0.1"],
+    "energy-table": ["--gammas=1,-1", "--L", "10", "--h", "0.1"],
+    "kernel-check": ["--n-queries", "1"],
+    "evolve": ["--gamma", "1", "--perturb-seed", "0", "--L", "10", "--h", "0.1",
+               "--dt", "0.01", "--t-end", "0.05"],
+    "stability-sweep": ["--gamma", "1", "--n-seeds", "1", "--L", "10", "--h", "0.1",
+                        "--dt", "0.01", "--t-end", "0.05"],
+    "spectrum": ["--gamma", "1", "--L", "10", "--h", "0.1"],
+    "lambda-curve": ["--gammas=0.01", "--L", "10", "--h", "0.1"],
+    "instability": ["--gamma", "1", "--L", "10", "--h", "0.1", "--t-end", "0.5"],
+    "minimize": ["--gamma", "1", "--L", "10", "--h", "0.2", "--n-starts", "1",
+                 "--max-iters", "50"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(cli._RUNNERS))
+def test_every_declared_flag_is_read(sub):
+    # A flag the runner never reads is still written to manifest.parameters,
+    # where it looks like it shaped the run.
+    ns = cli.build_parser().parse_args([sub, *_READ_CASES[sub]], namespace=_ReadLog())
+    ns._reads = set()
+    cli._RUNNERS[sub](ns)
+    declared = {k for k in vars(ns) if not k.startswith("_")} - {"command", "out"}
+    assert declared - ns._reads == set()
 
 
 def test_every_reported_numeric_carries_provenance(tmp_path):
