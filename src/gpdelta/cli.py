@@ -110,7 +110,12 @@ def _sanitize(obj):
 def _grid_from(args) -> GridSpec:
     if args.L <= 0 or args.h <= 0 or args.h >= args.L:
         raise ValueError("need 0 < h < L")
-    return make_grid(args.L, int(round(args.L / args.h)))
+    cells = args.L / args.h
+    if abs(cells - round(cells)) > 1e-9 * cells:
+        raise ValueError(
+            f"--L {args.L:g} is not a whole number of --h {args.h:g} steps (L/h = {cells:.6g})"
+        )
+    return make_grid(args.L, round(cells))
 
 
 def _grid_summary(grid: GridSpec | None):
@@ -374,6 +379,8 @@ def _run_instability(args):
 def _run_minimize(args):
     if args.gamma == 0.0:
         raise ValueError("minimization needs gamma != 0")
+    if args.n_starts < 1:
+        raise ValueError(f"need at least one start, got --n-starts {args.n_starts}")
     grid = _grid_from(args)
     cfg = FlowConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     rep = minimize_report(args.gamma, grid, n_starts=args.n_starts, cfg=cfg, odd=args.odd)

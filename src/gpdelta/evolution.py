@@ -16,18 +16,22 @@ from scipy.optimize import brentq
 
 from .energy import energy_gamma, orbit_distance
 from .grid import Field, GridSpec, TridiagonalLU, build_hgamma
-from .solitons import StationaryState, eval_state
+from .solitons import StateKind, StationaryState, eval_state
 
 __all__ = [
     "EvolveConfig",
     "Trajectory",
     "FixedPointError",
     "InstabilityResult",
-    "cn_step",
     "evolve",
     "instability_run",
     "seeded_perturbation",
 ]
+
+
+# Midpoint iteration: relative residual tolerance and iteration cap.
+_FP_TOL = 1e-12
+_FP_MAX_ITER = 50
 
 
 class FixedPointError(RuntimeError):
@@ -45,8 +49,6 @@ class EvolveConfig:
     dt: float
     t_end: float
     gamma: float
-    nonlinear_tol: float = 1e-12
-    nonlinear_max_iter: int = 50
     record_every: int = 100
     linear: bool = False
 
@@ -55,10 +57,6 @@ class EvolveConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
-        if not self.nonlinear_tol > 0.0:
-            raise ValueError("nonlinear_tol must be positive")
-        if self.nonlinear_max_iter < 1:
-            raise ValueError("nonlinear_max_iter must be at least 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -128,19 +126,19 @@ class _CrankNicolson:
         # A divergent iterate overflows before the residual test catches it;
         # that is the expected failure mode, reported below, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.nonlinear_max_iter):
+            for _ in range(_FP_MAX_ITER):
                 mid = 0.5 * (u + nxt)
                 rhs = b + (1j * cfg.dt) * _interior_f(mid)
                 new = self._lu.solve(rhs)
                 residual = float(np.max(np.abs(new - nxt)))
                 nxt = new
-                if residual <= cfg.nonlinear_tol * (1.0 + float(np.max(np.abs(new)))):
+                if residual <= _FP_TOL * (1.0 + float(np.max(np.abs(new)))):
                     return nxt
         raise FixedPointError(
             f"midpoint iteration stalled (residual {residual:.2e} "
-            f"after {cfg.nonlinear_max_iter} iterations)",
+            f"after {_FP_MAX_ITER} iterations)",
             residual,
-            cfg.nonlinear_max_iter,
+            _FP_MAX_ITER,
         )
 
 
@@ -149,12 +147,6 @@ def _interior_f(v: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     out[-1] = 0.0
     return out
-
-
-def cn_step(u: Field, cfg: EvolveConfig) -> Field:
-    """One midpoint step; builds its own factorization, so use evolve for runs."""
-    stepper = _CrankNicolson(u.grid, cfg)
-    return Field(u.grid, stepper.step(u.values, u.values.copy()))
 
 
 def evolve(
@@ -204,7 +196,6 @@ class InstabilityResult:
     trajectory: Trajectory
     rate: float | None
     window_points: int
-    residual: float | None
 
 
 def instability_run(
@@ -212,7 +203,6 @@ def instability_run(
     eps: float,
     direction: Field,
     cfg: EvolveConfig,
-    kink: StationaryState | None = None,
 ) -> InstabilityResult:
     """Evolve kink + eps*direction and fit the growth rate of d0 to the kink orbit.
 
@@ -223,13 +213,12 @@ def instability_run(
     """
     if gamma <= 0.0:
         raise ValueError("instability runs target the repulsive case gamma > 0")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps:g}")
     norm = float(np.sqrt(np.sum(np.abs(direction.values) ** 2) * direction.grid.h))
     if not np.isclose(norm, 1.0, rtol=1e-8):
         raise ValueError("direction must be normalized")
-    if kink is None:
-        from .solitons import StateKind
-
-        kink = StationaryState(StateKind.KINK, gamma)
+    kink = StationaryState(StateKind.KINK, gamma)
     base = eval_state(kink, direction.grid)
     u0 = Field(direction.grid, base.values + eps * direction.values)
     traj = evolve(u0, cfg, orbit_target=kink)
@@ -244,12 +233,9 @@ def instability_run(
         if breaks.size:
             idx = idx[: breaks[0] + 1]
     if idx.size < 4:
-        return InstabilityResult(traj, None, int(idx.size), None)
-    t = traj.times[idx]
-    logd = np.log(d[idx])
-    coeffs, res = np.polyfit(t, logd, 1, full=True)[:2]
-    rms = float(np.sqrt(res[0] / idx.size)) if res.size else 0.0
-    return InstabilityResult(traj, float(coeffs[0]), int(idx.size), rms)
+        return InstabilityResult(traj, None, int(idx.size))
+    slope = np.polyfit(traj.times[idx], np.log(d[idx]), 1)[0]
+    return InstabilityResult(traj, float(slope), int(idx.size))
 
 
 def seeded_perturbation(

@@ -43,6 +43,7 @@ __all__ = [
 _SQRT2 = float(np.sqrt(2.0))
 EDGE_LMINUS = 0.0
 EDGE_LPLUS = 2.0
+_K_MAX = 64  # most eigenvalues eigs_below returns before it raises
 Bands = tuple[np.ndarray, np.ndarray]  # (diagonal, off-diagonal), symmetric
 
 
@@ -81,40 +82,29 @@ class SpectralReport:
 
 def build_lpm(grid: GridSpec, gamma: float, which: Which) -> Bands:
     """Interior bands (diagonal, off) of H_gamma plus the block's potential."""
+    if not isinstance(which, Which):
+        raise ValueError(f"unknown operator tag: {which!r}")
     op = build_hgamma(grid, gamma)
     sech2 = 1.0 / np.cosh(grid.x[1:-1] / _SQRT2) ** 2
-    if which is Which.LMINUS:
-        potential = -sech2
-    elif which is Which.LPLUS:
-        potential = 2.0 - 3.0 * sech2
-    else:
-        raise ValueError(f"unknown operator tag: {which!r}")
+    potential = -sech2 if which is Which.LMINUS else 2.0 - 3.0 * sech2
     return op.diagonal[1:-1] + potential, np.full(sech2.size - 1, op.off_diagonal)
 
 
-def eigs_below(
-    bands: Bands,
-    edge: float,
-    k_max: int = 64,
-    with_vectors: bool = False,
-):
-    """All eigenvalues strictly below `edge`, ascending, at most k_max of them.
+def eigs_below(bands: Bands, edge: float) -> np.ndarray:
+    """All eigenvalues strictly below `edge`, ascending, at most _K_MAX of them.
 
-    Sturm bisection (stebz) to 1e-10 for the values; stein inverse iteration
-    supplies eigenvectors when requested.
+    Sturm bisection (stebz) to 1e-10.
     """
     d, off = bands
     lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(off), initial=0.0)) - 1.0
-    res = eigh_tridiagonal(
-        d, off, eigvals_only=not with_vectors, select="v",
+    vals = eigh_tridiagonal(
+        d, off, eigvals_only=True, select="v",
         select_range=(lo, edge), lapack_driver="stebz", tol=1e-10,
     )
-    vals, vecs = res if with_vectors else (res, None)
-    keep = vals < edge
-    vals = vals[keep]
-    if vals.size > k_max:
-        raise ValueError(f"found {vals.size} eigenvalues below {edge}, k_max={k_max}")
-    return (vals, vecs[:, keep]) if with_vectors else vals
+    vals = vals[vals < edge]
+    if vals.size > _K_MAX:
+        raise ValueError(f"found {vals.size} eigenvalues below {edge}, cap {_K_MAX}")
+    return vals
 
 
 def _lowest_eigenvalue(bands: Bands) -> float:
@@ -151,20 +141,27 @@ def _sparse(bands: Bands):
     return diags([off, d, off], [-1, 0, 1], format="csc")
 
 
-def spectral_report(gamma: float, grid: GridSpec, k_max: int = 64) -> SpectralReport:
-    """Counts and eigenvalues below both essential edges, no instability solve."""
-    lminus = eigs_below(build_lpm(grid, gamma, Which.LMINUS), EDGE_LMINUS, k_max)
-    lplus = eigs_below(build_lpm(grid, gamma, Which.LPLUS), EDGE_LPLUS, k_max)
+def _report(gamma: float, lm: Bands, lp: Bands, **instability) -> SpectralReport:
+    """The eigenvalues below both edges of the blocks lm and lp, plus `instability`."""
+    lminus = eigs_below(lm, EDGE_LMINUS)
+    lplus = eigs_below(lp, EDGE_LPLUS)
     return SpectralReport(
         gamma=float(gamma),
         lminus_eigs=lminus,
         lplus_eigs=lplus,
         n_neg_minus=int(np.sum(lminus < 0.0)),
         n_neg_plus=int(np.sum(lplus < 0.0)),
+        **instability,
     )
 
 
-def instability_eigenvalue(gamma: float, grid: GridSpec, k_max: int = 64) -> SpectralReport:
+def spectral_report(gamma: float, grid: GridSpec) -> SpectralReport:
+    """Counts and eigenvalues below both essential edges, no instability solve."""
+    return _report(gamma, build_lpm(grid, gamma, Which.LMINUS),
+                   build_lpm(grid, gamma, Which.LPLUS))
+
+
+def instability_eigenvalue(gamma: float, grid: GridSpec) -> SpectralReport:
     """Decide linear instability at the kink for gamma > 0.
 
     Sparse route: after checking that the amplitude block P is positive,
@@ -208,16 +205,5 @@ def instability_eigenvalue(gamma: float, grid: GridSpec, k_max: int = 64) -> Spe
         mode_v = np.zeros(grid.n_nodes)
         mode_v[1:-1] = v
 
-    lminus = eigs_below(lm, EDGE_LMINUS, k_max)
-    lplus = eigs_below(lp, EDGE_LPLUS, k_max)
-    return SpectralReport(
-        gamma=float(gamma),
-        lminus_eigs=lminus,
-        lplus_eigs=lplus,
-        n_neg_minus=int(np.sum(lminus < 0.0)),
-        n_neg_plus=int(np.sum(lplus < 0.0)),
-        mu_min=mu_min,
-        growth_rate=rate,
-        mode_u=mode_u,
-        mode_v=mode_v,
-    )
+    return _report(gamma, lm, lp, mu_min=mu_min, growth_rate=rate,
+                   mode_u=mode_u, mode_v=mode_v)

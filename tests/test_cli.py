@@ -89,6 +89,17 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1",
                  "--perturb-seed", "1", "--target-d0", "0", "--out", str(tmp_path)]) == 1
     assert "target_d0 must be positive" in capsys.readouterr().err
+    assert main(["instability", "--gamma", "1", "--L", "10", "--h", "0.1", "--eps", "0",
+                 "--t-end", "1", "--out", str(tmp_path)]) == 1
+    assert "eps must be positive, got 0" in capsys.readouterr().err
+    assert main(["minimize", "--gamma", "1", "--L", "10", "--h", "0.2", "--n-starts", "0",
+                 "--out", str(tmp_path)]) == 1
+    assert "need at least one start, got --n-starts 0" in capsys.readouterr().err
+    # 10 / 0.3 would silently become 33 cells of 0.30303.
+    assert main(["spectrum", "--gamma", "1", "--L", "10", "--h", "0.3",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--L 10" in err and "--h 0.3" in err and "L/h = 33.3333" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -182,15 +193,24 @@ _READ_CASES = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
 @pytest.mark.parametrize("sub", sorted(cli._RUNNERS))
-def test_every_declared_flag_is_read(sub):
+def test_every_declared_flag_is_read(sub, tmp_path):
     # A flag the runner never reads is still written to manifest.parameters,
     # where it looks like it shaped the run.
-    ns = cli.build_parser().parse_args([sub, *_READ_CASES[sub]], namespace=_ReadLog())
+    argv = [sub, *_READ_CASES[sub], "--out", str(tmp_path)]
+    ns = cli.build_parser().parse_args(argv, namespace=_ReadLog())
     ns._reads = set()
-    cli._RUNNERS[sub](ns)
+    grid, results, csvs = cli._RUNNERS[sub](ns)
     declared = {k for k in vars(ns) if not k.startswith("_")} - {"command", "out"}
     assert declared - ns._reads == set()
+    # The report is strict JSON: a non-finite result must not leak in as NaN.
+    args = argparse.Namespace(**{k: v for k, v in vars(ns).items() if not k.startswith("_")})
+    out_dir = cli._write_outputs(args, grid, results, csvs, 0.0)
+    json.loads((out_dir / "report.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_every_reported_numeric_carries_provenance(tmp_path):

@@ -10,12 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpdelta import evolution
 from gpdelta.energy import dinfty, orbit_distance
 from gpdelta.evolution import (
     EvolveConfig,
     FixedPointError,
     Trajectory,
-    cn_step,
     evolve,
     instability_run,
     seeded_perturbation,
@@ -42,10 +42,6 @@ def test_config_rejects_bad_values():
         EvolveConfig(**{**good, "dt": 0.0})
     with pytest.raises(ValueError):
         EvolveConfig(**{**good, "t_end": -1.0})
-    with pytest.raises(ValueError):
-        EvolveConfig(**{**good, "nonlinear_tol": 0.0})
-    with pytest.raises(ValueError):
-        EvolveConfig(**{**good, "nonlinear_max_iter": 0})
     with pytest.raises(ValueError):
         EvolveConfig(**{**good, "record_every": 0})
 
@@ -88,15 +84,6 @@ def test_phase_rotation_commutes_with_the_flow():
     ref = evolve(u0, cfg).final
     rot = evolve(Field(g, np.exp(0.7j) * u0.values), cfg).final
     assert np.max(np.abs(rot - np.exp(0.7j) * ref)) < 1e-12  # measured 1.5e-14
-
-
-def test_cn_step_matches_single_step_evolve():
-    g = make_grid(40.0, 1000)
-    u0 = perturbed_b1(g)
-    cfg = EvolveConfig(dt=1e-3, t_end=1e-3, gamma=1.0, record_every=1)
-    one = cn_step(u0, cfg)
-    tr = evolve(u0, cfg)
-    assert np.array_equal(one.values, tr.final)
 
 
 def test_record_grid_is_consistent():
@@ -247,12 +234,12 @@ def test_cn_kernel_gap_with_delta_stays_at_its_pinned_scale():
 # ----------------------------------------------------------- failure paths
 
 
-def test_fixed_point_error_carries_diagnostics():
+def test_fixed_point_error_carries_diagnostics(monkeypatch):
     g = make_grid(40.0, 1000)
     u0 = perturbed_b1(g)
-    cfg = EvolveConfig(
-        dt=1e-2, t_end=1e-2, gamma=1.0, nonlinear_tol=1e-14, nonlinear_max_iter=1
-    )
+    monkeypatch.setattr(evolution, "_FP_TOL", 1e-14)
+    monkeypatch.setattr(evolution, "_FP_MAX_ITER", 1)
+    cfg = EvolveConfig(dt=1e-2, t_end=1e-2, gamma=1.0)
     with pytest.raises(FixedPointError) as exc:
         evolve(u0, cfg)
     assert exc.value.iterations == 1
@@ -268,6 +255,9 @@ def test_instability_run_validates_inputs():
         instability_run(-1.0, 1e-4, direction, EvolveConfig(dt=1e-3, t_end=0.1, gamma=-1.0))
     with pytest.raises(ValueError):
         instability_run(1.0, 1e-4, direction, cfg)
+    unit = Field(g, direction.values / l2_norm(direction))
+    with pytest.raises(ValueError, match="eps must be positive, got 0"):
+        instability_run(1.0, 0.0, unit, cfg)
 
 
 def test_odd_perturbations_do_not_grow():

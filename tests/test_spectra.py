@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
+from gpdelta import spectra
 from gpdelta.grid import make_grid
 from gpdelta.spectra import (
     EDGE_LMINUS,
@@ -102,22 +103,11 @@ def test_amplitude_block_kernel_direction_at_zero_coupling(canon):
 # ------------------------------------------------------------- eigs_below
 
 
-def test_eigenvector_route_returns_consistent_pairs(canon):
-    d, off = build_lpm(canon, -1.0, Which.LPLUS)
-    vals, vecs = eigs_below((d, off), 0.0, with_vectors=True)
-    assert vals.shape == (1,)
-    assert vecs.shape == (canon.n_nodes - 2, 1)
-    v = vecs[:, 0]
-    resid = d * v
-    resid[:-1] += off * v[1:]
-    resid[1:] += off * v[:-1]
-    assert np.linalg.norm(resid - vals[0] * v) < 1e-8  # measured 3.9e-11
-
-
-def test_eigs_below_reports_count_when_k_max_is_exceeded(canon):
+def test_eigs_below_reports_count_when_k_max_is_exceeded(canon, monkeypatch):
     m = build_lpm(canon, -1.0, Which.LPLUS)
+    monkeypatch.setattr(spectra, "_K_MAX", 1)
     with pytest.raises(ValueError, match="found 3 eigenvalues"):
-        eigs_below(m, EDGE_LPLUS, k_max=1)
+        eigs_below(m, EDGE_LPLUS)
 
 
 def test_amplitude_block_negative_count_flips_with_the_coupling_sign(canon):

@@ -36,8 +36,6 @@ def first_integral_residual(field):
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        FlowConfig(tau=0.0)
-    with pytest.raises(ValueError):
         FlowConfig(max_iters=0)
     with pytest.raises(ValueError):
         FlowConfig(grad_tol=0.0)
