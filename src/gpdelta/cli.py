@@ -40,7 +40,7 @@ from .solitons import (
     theta_gamma,
     theta_tilde,
 )
-from .spectra import instability_eigenvalue, lambda_curve, spectral_report
+from .spectra import ABSORBED_ABOVE, instability_eigenvalue, lambda_curve, spectral_report
 from .variational import FlowConfig, minimize_report
 
 GAMMA_PANEL = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)
@@ -93,20 +93,6 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
-
-
 def _grid_from(args) -> GridSpec:
     if args.L <= 0 or args.h <= 0 or args.h >= args.L:
         raise ValueError("need 0 < h < L")
@@ -116,6 +102,12 @@ def _grid_from(args) -> GridSpec:
             f"--L {args.L:g} is not a whole number of --h {args.h:g} steps (L/h = {cells:.6g})"
         )
     return make_grid(args.L, round(cells))
+
+
+def _evolve_config(args) -> EvolveConfig:
+    return EvolveConfig(
+        dt=args.dt, t_end=args.t_end, gamma=args.gamma, record_every=args.record_every
+    )
 
 
 def _grid_summary(grid: GridSpec | None):
@@ -242,6 +234,8 @@ def _build_initial_state(args, grid):
     if args.state == "constant":
         if args.gamma != 0.0:
             raise ValueError("the constant background is stationary only at gamma = 0")
+        if args.perturb_seed is not None:
+            raise ValueError("the constant background takes no --perturb-seed")
         return Field(grid, np.ones(grid.n_nodes, dtype=complex)), None
     state = StationaryState(_STATE_NAMES[args.state], args.gamma)
     if args.perturb_seed is None:
@@ -253,10 +247,7 @@ def _build_initial_state(args, grid):
 def _run_evolve(args):
     grid = _grid_from(args)
     u0, state = _build_initial_state(args, grid)
-    cfg = EvolveConfig(
-        dt=args.dt, t_end=args.t_end, gamma=args.gamma, record_every=args.record_every
-    )
-    tr = evolve(u0, cfg, orbit_target=state)
+    tr = evolve(u0, _evolve_config(args), orbit_target=state)
     drift = float(np.max(np.abs(tr.energy_trace - tr.energy_trace[0])))
     results = {
         "t_end": _num(tr.times[-1], "discrete"),
@@ -287,9 +278,7 @@ def _run_stability_sweep(args):
     grid = _grid_from(args)
     kind = StateKind.EVEN_TANH if args.gamma > 0.0 else StateKind.EVEN_COTH
     state = StationaryState(kind, args.gamma)
-    cfg = EvolveConfig(
-        dt=args.dt, t_end=args.t_end, gamma=args.gamma, record_every=args.record_every
-    )
+    cfg = _evolve_config(args)
 
     rows = []
     for seed in range(args.n_seeds):
@@ -330,7 +319,7 @@ def _run_lambda_curve(args):
     gammas = _parse_gammas(args.gammas)
     pts = lambda_curve(gammas, grid)
     slope = float(np.polyfit(pts[:, 0], pts[:, 1], 1)[0]) if len(gammas) > 1 else None
-    rows = [(g, lam, 1 if lam > 2.0 - 1e-3 else 0) for g, lam in pts]
+    rows = [(g, lam, 1 if lam > ABSORBED_ABOVE else 0) for g, lam in pts]
     results = {
         "n_points": len(rows),
         "fitted_slope": _num(slope, "fitted"),
@@ -355,12 +344,8 @@ def _run_instability(args):
     }
     csvs = {}
     if rep.growth_rate is not None:
-        eta = rep.mode_u - 1j * rep.mode_v
-        eta /= np.sqrt(np.sum(np.abs(eta) ** 2) * grid.h)
-        cfg = EvolveConfig(
-            dt=args.dt, t_end=args.t_end, gamma=args.gamma, record_every=args.record_every
-        )
-        run = instability_run(args.gamma, args.eps, Field(grid, eta), cfg)
+        run = instability_run(args.gamma, args.eps, Field(grid, rep.direction),
+                              _evolve_config(args))
         rel = None
         if run.rate is not None:
             rel = abs(run.rate - rep.growth_rate) / rep.growth_rate
@@ -382,8 +367,9 @@ def _run_minimize(args):
     if args.n_starts < 1:
         raise ValueError(f"need at least one start, got --n-starts {args.n_starts}")
     grid = _grid_from(args)
-    cfg = FlowConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
-    rep = minimize_report(args.gamma, grid, n_starts=args.n_starts, cfg=cfg, odd=args.odd)
+    cfg = FlowConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
+    rep = minimize_report(args.gamma, grid, n_starts=args.n_starts, cfg=cfg, odd=args.odd,
+                          seed=args.seed)
     basins = {}
     for s in rep.starts:
         key = s.basin.name.lower() if s.basin is not None else "none"
@@ -536,7 +522,7 @@ def _write_outputs(args, grid, results, csvs, elapsed):
         lines = [",".join(header)]
         lines += [",".join(_fmt(c) for c in row) for row in rows]
         (out_dir / name).write_text("\n".join(lines) + "\n")
-    report = {"manifest": manifest, "results": _sanitize(results)}
+    report = {"manifest": manifest, "results": results}
     (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     manifest["wall_time_s"] = elapsed

@@ -32,6 +32,7 @@ every t (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,13 +139,7 @@ def g_func(t: float, rho: float, gamma: float) -> complex:
 # ---------------------------------------------------------------------------
 # The defining s-integrals, on the steepest-descent paths of their phase.
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
+_gl_rule = functools.cache(leggauss)
 
 
 # Gauss-Legendre orders of the path rule, each double the last.

@@ -7,12 +7,16 @@ are truncated to the interior nodes with homogeneous Dirichlet walls; discrete
 eigenvalues below the essential edge belong to exponentially localized states,
 so box error is exponentially small in L and h controls the accuracy.
 
-Linear instability for gamma > 0 is decided by the first-order system
-P u = lambda v, -M v = lambda u (P the amplitude block, M the phase block),
-i.e. the sparse 2n x 2n matrix [[0, P], [-M, 0]] acting on (v, u). Its
-eigenvalues come in pairs +-lambda with -lambda^2 = mu an eigenvalue of P M,
-so a real lambda > 0 is a growing mode with rate lambda. ARPACK shift-invert
-at sigma = 1 returns the eigenvalue nearest 1: the real lambda when a growing
+Two separate questions are asked of them. `spectral_report` counts the
+eigenvalues below both edges (a SpectralReport), which the variational
+stability argument needs. `instability_eigenvalue` decides whether the kink
+has a real growing mode for gamma > 0 (a GrowingMode), which the bifurcation
+argument needs. It solves the first-order system P u = lambda v,
+-M v = lambda u (P the amplitude block, M the phase block), i.e. the sparse
+2n x 2n matrix [[0, P], [-M, 0]] acting on (v, u). Its eigenvalues come in
+pairs +-lambda with -lambda^2 = mu an eigenvalue of P M, so a real
+lambda > 0 is a growing mode with rate lambda. ARPACK shift-invert at
+sigma = 1 returns the eigenvalue nearest 1: the real lambda when a growing
 mode exists, otherwise the imaginary i omega with the smallest |omega|; in
 both cases mu_min = Re(-lambda^2) is the lowest eigenvalue of P M.
 """
@@ -33,6 +37,7 @@ from .grid import GridSpec, build_hgamma
 __all__ = [
     "Which",
     "SpectralReport",
+    "GrowingMode",
     "build_lpm",
     "eigs_below",
     "lambda_curve",
@@ -43,6 +48,8 @@ __all__ = [
 _SQRT2 = float(np.sqrt(2.0))
 EDGE_LMINUS = 0.0
 EDGE_LPLUS = 2.0
+# A lowest amplitude-block eigenvalue above this sits at the essential edge.
+ABSORBED_ABOVE = EDGE_LPLUS - 1e-3
 _K_MAX = 64  # most eigenvalues eigs_below returns before it raises
 Bands = tuple[np.ndarray, np.ndarray]  # (diagonal, off-diagonal), symmetric
 
@@ -54,30 +61,33 @@ class Which(enum.Enum):
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalues below the essential edges plus the instability data.
-
-    mode_u / mode_v, present when a growing mode exists, are the eigenvector
-    pair of the linearization (amplitude equation P u = lambda v, phase
-    equation -M v = lambda u), zero-padded back to the full grid.
-    """
+    """Eigenvalues below the essential edges of both blocks and their negative counts."""
 
     gamma: float
     lminus_eigs: np.ndarray
     lplus_eigs: np.ndarray
     n_neg_minus: int
     n_neg_plus: int
-    mu_min: float | None = None
-    growth_rate: float | None = None
-    mode_u: np.ndarray | None = None
-    mode_v: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.lminus_eigs, self.lplus_eigs):
             if arr.size > 1 and np.any(np.diff(arr) < 0):
                 raise ValueError("eigenvalue arrays must be sorted ascending")
-        has_rate = self.growth_rate is not None
-        if has_rate != (self.mu_min is not None and self.mu_min < 0):
-            raise ValueError("growth_rate must be present exactly when mu_min < 0")
+
+
+@dataclass(frozen=True)
+class GrowingMode:
+    """The lowest eigenvalue mu_min of P M and the mode that grows when it is negative.
+
+    direction is the unit complex perturbation u - i v built from the
+    eigenvector pair (P u = lambda v, -M v = lambda u) on the full grid, zero
+    at both ends and normalised in sum |.|^2 h. growth_rate and direction
+    are None when nothing grows.
+    """
+
+    mu_min: float
+    growth_rate: float | None
+    direction: np.ndarray | None
 
 
 def build_lpm(grid: GridSpec, gamma: float, which: Which) -> Bands:
@@ -126,7 +136,7 @@ def lambda_curve(gammas, grid: GridSpec) -> np.ndarray:
     out = np.empty((gs.size, 2))
     for i, g in enumerate(gs):
         val = _lowest_eigenvalue(build_lpm(grid, g, Which.LPLUS))
-        if val > EDGE_LPLUS - 1e-3:
+        if val > ABSORBED_ABOVE:
             warnings.warn(
                 f"lowest amplitude-block eigenvalue {val:.6f} at gamma={g:g} "
                 "sits at the essential edge; the discrete eigenvalue is absorbed",
@@ -141,27 +151,20 @@ def _sparse(bands: Bands):
     return diags([off, d, off], [-1, 0, 1], format="csc")
 
 
-def _report(gamma: float, lm: Bands, lp: Bands, **instability) -> SpectralReport:
-    """The eigenvalues below both edges of the blocks lm and lp, plus `instability`."""
-    lminus = eigs_below(lm, EDGE_LMINUS)
-    lplus = eigs_below(lp, EDGE_LPLUS)
+def spectral_report(gamma: float, grid: GridSpec) -> SpectralReport:
+    """Counts and eigenvalues below both essential edges."""
+    lminus = eigs_below(build_lpm(grid, gamma, Which.LMINUS), EDGE_LMINUS)
+    lplus = eigs_below(build_lpm(grid, gamma, Which.LPLUS), EDGE_LPLUS)
     return SpectralReport(
         gamma=float(gamma),
         lminus_eigs=lminus,
         lplus_eigs=lplus,
         n_neg_minus=int(np.sum(lminus < 0.0)),
         n_neg_plus=int(np.sum(lplus < 0.0)),
-        **instability,
     )
 
 
-def spectral_report(gamma: float, grid: GridSpec) -> SpectralReport:
-    """Counts and eigenvalues below both essential edges, no instability solve."""
-    return _report(gamma, build_lpm(grid, gamma, Which.LMINUS),
-                   build_lpm(grid, gamma, Which.LPLUS))
-
-
-def instability_eigenvalue(gamma: float, grid: GridSpec) -> SpectralReport:
+def instability_eigenvalue(gamma: float, grid: GridSpec) -> GrowingMode:
     """Decide linear instability at the kink for gamma > 0.
 
     Sparse route: after checking that the amplitude block P is positive,
@@ -170,7 +173,8 @@ def instability_eigenvalue(gamma: float, grid: GridSpec) -> SpectralReport:
     nearest 1, and mu_min = Re(-lambda^2). When mu_min < 0 the growth rate is
     lambda and its eigenvector (v, u) satisfies P u = lambda v,
     -M v = lambda u, which is verified to 1e-6 before anything is returned;
-    the pair is signed so that u is positive at the origin.
+    the pair is signed so that u is positive at the origin and returned as
+    the unit direction u - i v.
     """
     if gamma <= 0.0:
         raise ValueError("instability analysis requires gamma > 0")
@@ -188,22 +192,18 @@ def instability_eigenvalue(gamma: float, grid: GridSpec) -> SpectralReport:
                       v0=np.ones(2 * n))
     lam = complex(vals[0])
     mu_min = float((-lam * lam).real)
-    rate = None
-    mode_u = mode_v = None
-    if mu_min < 0.0:
-        rate = lam.real
-        z = vecs[:, 0].real
-        if z[n + grid.M - 1] < 0.0:
-            z = -z
-        v, u = z[:n], z[n:]
-        res = np.linalg.norm(p @ u - rate * v) + np.linalg.norm(m @ v + rate * u)
-        bound = 1e-6 * (np.linalg.norm(u) + np.linalg.norm(v))
-        if res > bound:
-            raise RuntimeError(f"eigenpair residual {res:.3e} exceeds {bound:.3e}")
-        mode_u = np.zeros(grid.n_nodes)
-        mode_u[1:-1] = u
-        mode_v = np.zeros(grid.n_nodes)
-        mode_v[1:-1] = v
-
-    return _report(gamma, lm, lp, mu_min=mu_min, growth_rate=rate,
-                   mode_u=mode_u, mode_v=mode_v)
+    if mu_min >= 0.0:
+        return GrowingMode(mu_min, None, None)
+    rate = lam.real
+    z = vecs[:, 0].real
+    if z[n + grid.M - 1] < 0.0:
+        z = -z
+    v, u = z[:n], z[n:]
+    res = np.linalg.norm(p @ u - rate * v) + np.linalg.norm(m @ v + rate * u)
+    bound = 1e-6 * (np.linalg.norm(u) + np.linalg.norm(v))
+    if res > bound:
+        raise RuntimeError(f"eigenpair residual {res:.3e} exceeds {bound:.3e}")
+    direction = np.zeros(grid.n_nodes, dtype=complex)
+    direction[1:-1] = u - 1j * v
+    direction /= np.sqrt(np.sum(np.abs(direction) ** 2) * grid.h)
+    return GrowingMode(mu_min, rate, direction)

@@ -57,7 +57,6 @@ _TAU = 0.9
 class FlowConfig:
     max_iters: int = 50000
     grad_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -211,20 +210,24 @@ def minimize_report(
     n_starts: int = 10,
     cfg: FlowConfig = FlowConfig(),
     odd: bool = False,
+    seed: int = 0,
 ) -> MinimizeReport:
-    """Run n_starts seeded flows and classify where each one landed.
+    """Run n_starts flows from seeded_start(grid, seed, k) and classify where each landed.
 
     Basins are decided by orbit distance below 0.05 among the families that
     exist at this coupling; a non-converged flow or an unrecognized endpoint
-    reports basin None.
+    reports basin None. The extrapolated energy coarsens by 2, so an odd M is
+    refused before any flow runs.
     """
     if gamma == 0.0:
         raise ValueError(
             "gamma = 0 is rejected: translation invariance leaves no canonical orbit"
         )
+    if grid.M % 2:
+        raise ValueError(f"the extrapolated energy needs an even M, got M = {grid.M}")
     starts = []
     for k in range(n_starts):
-        u0 = seeded_start(grid, cfg.seed, k)
+        u0 = seeded_start(grid, seed, k)
         res = gradient_flow(u0, gamma, cfg, odd_projection=odd)
         if res.converged:
             basin, dist = _classify(res.field, gamma)

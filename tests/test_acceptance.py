@@ -248,10 +248,8 @@ def test_criterion_07_linear_instability_rate():
     assert rep.mu_min is not None and rep.mu_min < 0.0
     lam = rep.growth_rate
 
-    eta = rep.mode_u - 1j * rep.mode_v
-    eta /= np.sqrt(np.sum(np.abs(eta) ** 2) * grid.h)
     cfg = EvolveConfig(dt=1e-3, t_end=20.0, gamma=1.0, record_every=50)
-    run = instability_run(1.0, 1e-4, Field(grid, eta), cfg)
+    run = instability_run(1.0, 1e-4, Field(grid, rep.direction), cfg)
     rel_dev = abs(run.rate - lam) / lam if run.rate is not None else math.inf
 
     odd = grid.x * np.exp(-0.5 * grid.x**2) * (1.0 + 0.3j)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import gpdelta
-from gpdelta import cli, propagator
+from gpdelta import cli, propagator, variational
 from gpdelta.cli import main
 
 PROVENANCES = {"closed_form", "discrete", "fitted"}
@@ -75,7 +75,12 @@ def test_unknown_flag_is_a_usage_error(capsys):
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-def test_invalid_parameters_exit_1(tmp_path, capsys):
+def test_invalid_parameters_exit_1(tmp_path, capsys, monkeypatch):
+    # Every minimize case here is refused before its first flow.
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the inputs were checked")
+
+    monkeypatch.setattr(variational, "gradient_flow", no_flow)
     assert main(["minimize", "--gamma", "0", "--out", str(tmp_path)]) == 1
     assert "gamma != 0" in capsys.readouterr().err
     assert main(["stationary", "--gamma", "1", "--L", "2", "--h", "3",
@@ -89,12 +94,20 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1",
                  "--perturb-seed", "1", "--target-d0", "0", "--out", str(tmp_path)]) == 1
     assert "target_d0 must be positive" in capsys.readouterr().err
+    # The constant background is never perturbed, so a seed would only be recorded.
+    assert main(["evolve", "--gamma", "0", "--state", "constant", "--perturb-seed", "3",
+                 "--L", "10", "--h", "0.1", "--out", str(tmp_path)]) == 1
+    assert "the constant background takes no --perturb-seed" in capsys.readouterr().err
     assert main(["instability", "--gamma", "1", "--L", "10", "--h", "0.1", "--eps", "0",
                  "--t-end", "1", "--out", str(tmp_path)]) == 1
     assert "eps must be positive, got 0" in capsys.readouterr().err
     assert main(["minimize", "--gamma", "1", "--L", "10", "--h", "0.2", "--n-starts", "0",
                  "--out", str(tmp_path)]) == 1
     assert "need at least one start, got --n-starts 0" in capsys.readouterr().err
+    # The extrapolated energy coarsens by 2; an odd M used to fail after every flow.
+    assert main(["minimize", "--gamma", "1", "--L", "10.5", "--h", "0.02", "--n-starts", "2",
+                 "--out", str(tmp_path)]) == 1
+    assert "even M, got M = 525" in capsys.readouterr().err
     # 10 / 0.3 would silently become 33 cells of 0.30303.
     assert main(["spectrum", "--gamma", "1", "--L", "10", "--h", "0.3",
                  "--out", str(tmp_path)]) == 1

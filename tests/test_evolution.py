@@ -245,6 +245,7 @@ def test_fixed_point_error_carries_diagnostics(monkeypatch):
     assert exc.value.iterations == 1
     assert exc.value.residual > 1e-14
     assert exc.value.time == pytest.approx(1e-2)
+    assert str(exc.value).startswith("step to t=0.01 failed: midpoint iteration stalled")
 
 
 def test_instability_run_validates_inputs():

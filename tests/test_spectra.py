@@ -33,7 +33,7 @@ def dense(bands):
 
 
 def dense_instability(gamma, grid):
-    """Small-n oracle: (mu_min, rate, mode_u) from Lambda = S M S, S = P^{1/2}.
+    """Small-n oracle: (mu_min, rate, u) from Lambda = S M S, S = P^{1/2}.
 
     mu_min is the lowest eigenvalue of Lambda; for mu_min < 0 the growing
     mode is u = S^{-1} w for Lambda's ground vector w, on the interior nodes.
@@ -188,18 +188,21 @@ def test_instability_reports_when_the_amplitude_block_is_not_positive(canon):
 
 
 def test_repulsive_kink_has_a_growing_mode():
-    rep = instability_eigenvalue(1.0, make_grid(30.0, 601))
+    grid = make_grid(30.0, 601)
+    rep = instability_eigenvalue(1.0, grid)
     assert rep.mu_min < 0.0
     assert rep.growth_rate == pytest.approx(np.sqrt(-rep.mu_min))
     assert rep.growth_rate == pytest.approx(0.363337, abs=1e-4)  # regression fixture
-    assert rep.n_neg_minus == 1 and rep.n_neg_plus == 0
-    # The mode pair comes back on the full grid with clamped walls, and the
-    # ground state of the symmetrized product is even.
-    for mode in (rep.mode_u, rep.mode_v):
-        assert mode.shape == (rep.mode_u.size,)
-        assert mode[0] == 0.0 and mode[-1] == 0.0
-        sym = np.max(np.abs(mode - mode[::-1])) / np.max(np.abs(mode))
-        assert sym < 1e-6  # measured 1.2e-9
+    counts = spectral_report(1.0, grid)
+    assert counts.n_neg_minus == 1 and counts.n_neg_plus == 0
+    # The direction comes back on the full grid with clamped walls, at unit
+    # norm, and the ground state of the symmetrized product is even.
+    mode = rep.direction
+    assert mode.shape == (grid.n_nodes,)
+    assert mode[0] == 0.0 and mode[-1] == 0.0
+    assert np.sum(np.abs(mode) ** 2) * grid.h == pytest.approx(1.0, rel=1e-12)
+    sym = np.max(np.abs(mode - mode[::-1])) / np.max(np.abs(mode))
+    assert sym < 1e-6  # measured 2.5e-14
 
 
 def test_growth_rate_is_grid_converged():
@@ -218,7 +221,7 @@ def test_sparse_instability_matches_the_dense_oracle(M):
     # loses accuracy with the condition number of P, which grows like h^-2
     assert abs(rep.growth_rate - rate) / rate < 1e-7
     assert abs(rep.mu_min - mu) / abs(mu) < 2e-7
-    got = rep.mode_u[1:-1] / np.linalg.norm(rep.mode_u)
+    got = rep.direction.real[1:-1] / np.linalg.norm(rep.direction.real)
     want = u / np.linalg.norm(u) * np.sign(u[grid.M - 1])
     assert np.linalg.norm(got - want) < 1e-6  # measured 2.9e-11, 5.2e-10
 
@@ -229,9 +232,8 @@ def test_instability_is_deterministic_and_sign_pinned():
     instability_eigenvalue(2.0, make_grid(20.0, 400))  # no solver state carries over
     two = instability_eigenvalue(1.0, grid)
     assert one.mu_min == two.mu_min and one.growth_rate == two.growth_rate
-    assert np.array_equal(one.mode_u, two.mode_u)
-    assert np.array_equal(one.mode_v, two.mode_v)
-    assert one.mode_u[grid.M] > 0.0
+    assert np.array_equal(one.direction, two.direction)
+    assert one.direction.real[grid.M] > 0.0
 
 
 # ----------------------------------------------------------------- report
@@ -248,7 +250,3 @@ def test_report_invariants_are_enforced():
     SpectralReport(**ok)
     with pytest.raises(ValueError):
         SpectralReport(**{**ok, "lplus_eigs": np.array([1.5, 0.4])})
-    with pytest.raises(ValueError):
-        SpectralReport(**{**ok, "mu_min": -0.1})
-    with pytest.raises(ValueError):
-        SpectralReport(**{**ok, "growth_rate": 0.3})
