@@ -76,6 +76,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: numpy seeds must be non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _num(value, provenance: str) -> dict:
     """Report numeric: value plus how it was obtained."""
     if value is None:
@@ -246,8 +253,9 @@ def _build_initial_state(args, grid):
 
 def _run_evolve(args):
     grid = _grid_from(args)
+    cfg = _evolve_config(args)
     u0, state = _build_initial_state(args, grid)
-    tr = evolve(u0, _evolve_config(args), orbit_target=state)
+    tr = evolve(u0, cfg, orbit_target=state)
     drift = float(np.max(np.abs(tr.energy_trace - tr.energy_trace[0])))
     results = {
         "t_end": _num(tr.times[-1], "discrete"),
@@ -318,7 +326,7 @@ def _run_lambda_curve(args):
     grid = _grid_from(args)
     gammas = _parse_gammas(args.gammas)
     pts = lambda_curve(gammas, grid)
-    slope = float(np.polyfit(pts[:, 0], pts[:, 1], 1)[0]) if len(gammas) > 1 else None
+    slope = float(np.polyfit(pts[:, 0], pts[:, 1], 1)[0]) if len(set(gammas)) > 1 else None
     rows = [(g, lam, 1 if lam > ABSORBED_ABOVE else 0) for g, lam in pts]
     results = {
         "n_points": len(rows),
@@ -333,6 +341,7 @@ def _run_lambda_curve(args):
 
 def _run_instability(args):
     grid = _grid_from(args)
+    cfg = _evolve_config(args)
     rep = instability_eigenvalue(args.gamma, grid)
 
     results = {
@@ -344,8 +353,7 @@ def _run_instability(args):
     }
     csvs = {}
     if rep.growth_rate is not None:
-        run = instability_run(args.gamma, args.eps, Field(grid, rep.direction),
-                              _evolve_config(args))
+        run = instability_run(args.gamma, args.eps, Field(grid, rep.direction), cfg)
         rel = None
         if run.rate is not None:
             rel = abs(run.rate - rep.growth_rate) / rep.growth_rate
@@ -433,7 +441,7 @@ def _add_shared(sp, *, L=None, h=None, dt=None, t_end=None, seed=False):
     if t_end is not None:
         sp.add_argument("--t-end", dest="t_end", type=_finite, default=t_end)
     if seed:
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None)
 
 
@@ -458,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=_finite, required=True)
     sp.add_argument("--state", choices=sorted(_STATE_NAMES) + ["constant"],
                     default="even-tanh")
-    sp.add_argument("--perturb-seed", dest="perturb_seed", type=int, default=None)
+    sp.add_argument("--perturb-seed", dest="perturb_seed", type=_seed, default=None)
     sp.add_argument("--target-d0", dest="target_d0", type=_finite, default=0.04)
     sp.add_argument("--record-every", dest="record_every", type=int, default=100)
     _add_shared(sp, L=40.0, h=0.005, dt=1e-3, t_end=1.0)

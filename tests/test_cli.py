@@ -60,6 +60,11 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert main(["evolve", "--gamma", "1", "--t-end", "inf"]) == 64
     assert main(["instability", "--gamma", "1", "--h-run", "-inf"]) == 64
     assert "expected a finite number, got 'nan'" in capsys.readouterr().err
+    # numpy refuses a negative seed without naming the flag; the parser names it.
+    for argv in (["kernel-check", "--seed", "-1"], ["minimize", "--gamma", "1", "--seed", "-1"],
+                 ["evolve", "--gamma", "1", "--perturb-seed", "-1"]):
+        assert main(argv) == 64
+        assert f"{argv[-2]}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
     # Flags a subcommand never reads are not declared.
     for sub, flag in (
         ("stationary", "--dt"), ("stationary", "--seed"),
@@ -101,6 +106,11 @@ def test_invalid_parameters_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["instability", "--gamma", "1", "--L", "10", "--h", "0.1", "--eps", "0",
                  "--t-end", "1", "--out", str(tmp_path)]) == 1
     assert "eps must be positive, got 0" in capsys.readouterr().err
+    # 10.5 steps used to run 10 and report t_end 0.01 beside a recorded 0.0105.
+    assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1", "--t-end", "0.0105",
+                 "--dt", "0.001", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "t_end 0.0105" in err and "dt 0.001" in err and "t_end/dt = 10.5" in err
     assert main(["minimize", "--gamma", "1", "--L", "10", "--h", "0.2", "--n-starts", "0",
                  "--out", str(tmp_path)]) == 1
     assert "need at least one start, got --n-starts 0" in capsys.readouterr().err
@@ -337,6 +347,10 @@ def test_lambda_curve_slope_near_origin(tmp_path):
     assert abs(res["fitted_slope"]["value"] - 3.0 * math.sqrt(2.0) / 8.0) < 5e-3
     assert res["fitted_slope"]["provenance"] == "fitted"
     assert not any(p["absorbed"] for p in res["points"])
+    # One distinct gamma fixes no line, however often it is repeated.
+    report, _ = run(tmp_path / "repeated", "lambda-curve", "--gammas=0.01,0.01",
+                    "--L", "10", "--h", "0.1")
+    assert report["results"]["fitted_slope"] == {"value": None, "provenance": "fitted"}
 
 
 def test_instability_spectral_vs_fitted_rate(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gpdelta import evolution
-from gpdelta.energy import dinfty, orbit_distance
+from gpdelta.energy import dinfty, nonlinear_values, orbit_distance
 from gpdelta.evolution import (
     EvolveConfig,
     FixedPointError,
@@ -20,7 +20,7 @@ from gpdelta.evolution import (
     instability_run,
     seeded_perturbation,
 )
-from gpdelta.grid import Field, l2_norm, make_grid
+from gpdelta.grid import Field, TridiagonalLU, build_hgamma, l2_norm, make_grid
 from gpdelta.propagator import apply_propagator
 from gpdelta.solitons import StateKind, StationaryState, eval_state
 
@@ -44,6 +44,9 @@ def test_config_rejects_bad_values():
         EvolveConfig(**{**good, "t_end": -1.0})
     with pytest.raises(ValueError):
         EvolveConfig(**{**good, "record_every": 0})
+    # 10.5 steps would silently run 10 and report t_end = 0.01.
+    with pytest.raises(ValueError, match=r"t_end 0.0105 .* dt 0.001 steps \(t_end/dt = 10.5\)"):
+        EvolveConfig(**{**good, "t_end": 0.0105})
 
 
 def test_trajectory_rejects_inconsistent_records():
@@ -64,6 +67,44 @@ def test_evolve_does_not_alias_its_input():
         cfg = EvolveConfig(dt=1e-2, t_end=t_end, gamma=0.0, record_every=5)
         evolve(u0, cfg).final[0] = 99.0
         assert np.all(u0.values == 1.0)
+
+
+# ------------------------------------------------------------ the step
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+def test_step_solves_the_cn_equation(linear):
+    # dt / (2 h^2) = 2.5 > 1: a factorization that coupled the end columns
+    # would pivot on row 0 and move u[0] by roundoff every step.
+    g = make_grid(40.0, 2000)
+    dt, gamma = 2e-3, 1.0
+    u = perturbed_b1(g).values
+    cfg = EvolveConfig(dt=dt, t_end=dt, gamma=gamma, linear=linear)
+    nxt = evolve(Field(g, u), cfg).final
+    op = build_hgamma(g, gamma)
+    z = 0.5j * dt
+    res = (nxt - u)[1:-1] + z * (op.interior(nxt) + op.interior(u))
+    if not linear:
+        res -= 1j * dt * nonlinear_values(0.5 * (u + nxt))[1:-1]
+    assert np.max(np.abs(res)) <= 1e-12 * (1.0 + np.max(np.abs(u)))  # measured 2.2e-15
+    assert nxt[0] == u[0] and nxt[-1] == u[-1]
+
+
+def test_solve_count_of_a_seeded_coth_run(monkeypatch):
+    # 500 steps at four solves each: a changed iteration or stop rule shows here.
+    calls = []
+    solve = TridiagonalLU.solve
+
+    def counting(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(TridiagonalLU, "solve", counting)
+    g = make_grid(20.0, 1000)
+    u0 = seeded_perturbation(BT1, g, seed=0)
+    tr = evolve(u0, EvolveConfig(dt=2e-3, t_end=1.0, gamma=-1.0), orbit_target=BT1)
+    assert len(calls) == 2000
+    assert tr.final[0] == u0.values[0] and tr.final[-1] == u0.values[-1]
 
 
 # ------------------------------------------------------------ invariants
