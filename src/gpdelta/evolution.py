@@ -10,6 +10,7 @@ test objects rather than artifacts of dissipation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class FixedPointError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
         self.time = time
+
+    def __reduce__(self):
+        # The default rebuilds from self.args, the message alone.
+        return type(self), (str(self), self.residual, self.iterations, self.time)
 
 
 @dataclass(frozen=True)
@@ -126,14 +131,21 @@ class _CrankNicolson:
         # The residual is that of u+ = 2w - u, against a scale fixed by u.
         tol = _FP_TOL * (1.0 + float(np.max(np.abs(u))))
         # A divergent iterate overflows before the residual test catches it;
-        # that is the expected failure mode, reported below, not a warning.
+        # that is the expected failure mode, reported at the first non-finite
+        # residual, not a warning.
+        finite = math.nan  # the last finite residual, NaN before the first
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(_FP_MAX_ITER):
+            for k in range(1, _FP_MAX_ITER + 1):
                 f = nonlinear_values(w)
                 f[0] = f[-1] = 0.0
                 new = self._lu.solve(base + self._z * f)
                 residual = 2.0 * float(np.max(np.abs(new - w)))
-                w = new
+                if not math.isfinite(residual):
+                    raise FixedPointError(
+                        f"step to t={t:.6g} failed: midpoint iteration diverged (residual "
+                        f"non-finite at iteration {k}; last finite residual "
+                        f"{finite:.2e} at iteration {k - 1})", finite, k - 1, time=t)
+                w, finite = new, residual
                 if residual <= tol:
                     return 2.0 * w - u
         raise FixedPointError(f"step to t={t:.6g} failed: midpoint iteration stalled "

@@ -1,14 +1,21 @@
-"""Imaginary-time minimization of the point-interaction energy.
+"""Energy minimization by preconditioned nonlinear conjugate gradients.
 
-The semi-implicit step solves (I + tau H) u+ = u + tau F(u): the stiff
-Laplacian goes implicit, so tau = 0.9 is stable at any h, while
-the bounded nonlinearity, which keeps tau below 1, stays explicit. Boundary
-rows are reflected-Neumann stencils and the two end values are re-projected
-to unit modulus after every step. That leaves the far-field phase free to
-rotate, which matters: initial data with kink-like ends (-1 and +1) can only
-reach the even-soliton orbit by unwinding one arm's phase, and a
-value-clamped boundary makes that sector change impossible for any descent
-path.
+The descent is Polak-Ribiere+ nonlinear CG (Antoine, Levitt & Tang, J.
+Comput. Phys. 343, 2017) preconditioned by P = (I + tau H_N)^-1, where H_N
+is H_gamma with reflected-Neumann end rows. The gradient H_N u - F(u), end
+rows included, is the exact gradient of the trapezoid energy in the
+trapezoid inner product, in which P is self-adjoint. P damps the stiff
+Laplacian end of the spectrum; CG takes care of the slow box-scale modes
+that a fixed-step flow contracts by only 1 - (pi/2L)^2 per step. Along a
+search direction the trapezoid energy is a quartic polynomial in the step,
+so the line search is exact.
+
+The two end values are re-projected to unit modulus after every step. That
+leaves the far-field phase free to rotate, which matters: initial data with
+kink-like ends (-1 and +1) can only reach the even-soliton orbit by
+unwinding one arm's phase, and a value-clamped boundary makes that sector
+change impossible for any descent path. The projection can raise the energy
+the line search just lowered, which is why the flow keeps an energy guard.
 """
 
 from __future__ import annotations
@@ -46,11 +53,10 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 BASIN_TOL = 0.05
-# The Laplacian is unconditionally stable implicit, and the explicitly
-# treated nonlinearity (local stiffness 2 at unit modulus) allows tau < 1;
-# 0.9 keeps the useful margin the energy guard never has to rescue in
-# practice.
+# Shift of the preconditioner (I + tau H_N)^-1.
 _TAU = 0.9
+# A step the energy guard halves this often has underflowed.
+_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,44 @@ def _postprocess(values: np.ndarray, odd: bool) -> np.ndarray:
     return values
 
 
+def _gradient(op: DeltaOperator, v: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """H_N v - F(v) on every row, and the trapezoid norm of its interior rows.
+
+    The array is the exact gradient of energy_values in the trapezoid inner
+    product; the interior norm, that of energy_gradient, feeds the stop rule.
+    """
+    f = nonlinear_values(v)
+    g = gradient_values(op, v, f)
+    norm = float(np.sqrt(np.sum(weights * np.abs(g) ** 2)))
+    g[0] = 2.0 * op.off_diagonal * (v[1] - v[0]) - f[0]
+    g[-1] = 2.0 * op.off_diagonal * (v[-2] - v[-1]) - f[-1]
+    return g, norm
+
+
+def _energy_quartic(
+    u: np.ndarray, d: np.ndarray, grid: GridSpec, gamma: float, weights: np.ndarray
+) -> np.ndarray:
+    """Coefficients, highest first, of E(u + a d) - E(u) as a polynomial in a.
+
+    The kinetic and point terms are quadratic in a; the potential
+    (1/4) sum w (1 - |u|^2 - 2a s - a^2 q)^2, with s = Re(conj(u) d) and
+    q = |d|^2, is quartic.
+    """
+    s = u.real * d.real + u.imag * d.imag
+    q = d.real * d.real + d.imag * d.imag
+    a = 1.0 - (u.real * u.real + u.imag * u.imag)
+    ws, wq = weights * s, weights * q
+    du, dd, m = np.diff(u), np.diff(d), grid.M
+    return np.array([
+        0.25 * np.dot(wq, q),
+        np.dot(ws, q),
+        np.vdot(dd, dd).real / (2.0 * grid.h) + 0.5 * gamma * q[m] + np.dot(ws, s)
+        - 0.5 * np.dot(wq, a),
+        np.vdot(du, dd).real / grid.h + gamma * s[m] - np.dot(ws, a),
+        0.0,
+    ])
+
+
 def gradient_flow(
     u0: Field,
     gamma: float,
@@ -124,49 +168,69 @@ def gradient_flow(
 ) -> FlowResult:
     """Descend the energy from u0 until the interior gradient norm passes tol.
 
-    Steps that raise the energy are rejected and retried at half the step
-    size (never re-grown), so the accepted energy trace is non-increasing by
-    construction. Hitting max_iters or a vanishing step returns the current
-    iterate flagged as non-converged instead of raising.
+    Preconditioned Polak-Ribiere+ nonlinear CG: the direction is -Pg plus
+    beta times the last one, with P = (I + tau H_N)^-1 factored once, and it
+    restarts at -Pg whenever it is not a descent direction. The step goes to
+    the lowest real critical point of the energy's quartic along the
+    direction. The end projection after the step can still raise the energy,
+    so a step that does is retried from -Pg and then at half the length until
+    it is accepted: the accepted energy trace is non-increasing by
+    construction. One iteration is one accepted step. Hitting max_iters or
+    halving _MAX_HALVINGS times returns the current iterate flagged as
+    non-converged instead of raising.
     """
     grid = u0.grid
     op = build_hgamma(grid, gamma)
     weights = trapezoid_weights(grid)
-    tau = _TAU
-    tau_floor = tau * 2.0**-50
-    solver = _implicit_factor(op, tau)
+    precond = _implicit_factor(op, _TAU)
 
-    def f_and_grad(v):
-        # F(v) feeds both the gradient norm and the next step's right-hand side.
-        f = nonlinear_values(v)
-        grad = float(np.sqrt(np.sum(weights * np.abs(gradient_values(op, v, f)) ** 2)))
-        return f, grad
+    def inner(a, b):
+        return np.vdot(a, weights * b).real
+
+    def exact_step(u, d):
+        # The real critical point of the quartic with the lowest energy.
+        coef = _energy_quartic(u, d, grid, gamma, weights)
+        roots = np.roots(np.polyder(coef)).real
+        return float(roots[np.argmin(np.polyval(coef, roots))])
 
     u = _postprocess(u0.values.astype(complex, copy=True), odd_projection)
     energy = energy_values(u, grid, gamma, weights).total
     energies = [energy]
-    f, grad = f_and_grad(u)
+    g, grad = _gradient(op, u, weights)
+    d = None
     iterations = 0
     while iterations < cfg.max_iters and not grad < cfg.grad_tol:
+        pg = precond.solve(g)
+        g_pg = inner(g, pg)
+        beta = 0.0 if d is None else max(0.0, (g_pg - inner(g_prev, pg)) / g_pg_prev)
+        d = beta * d - pg if beta > 0.0 else -pg
+        steepest = beta == 0.0
+        if not steepest and not inner(g, d) < 0.0:
+            d, steepest = -pg, True
+        alpha, halvings = exact_step(u, d), 0
         while True:
-            trial = _postprocess(solver.solve(u + tau * f), odd_projection)
+            trial = _postprocess(u + alpha * d, odd_projection)
             trial_energy = energy_values(trial, grid, gamma, weights).total
-            # Near convergence the true decrement tau*|grad|^2 sinks below the
-            # resolution of double precision on E itself; insisting on a
-            # measured decrease there would stall the contraction, so accept
-            # anything within one ulp-scale band of the current energy.
+            # Near convergence the decrement sinks below the resolution of
+            # double precision on E itself; insisting on a measured decrease
+            # there would stall the descent, so accept anything within one
+            # ulp-scale band of the current energy.
             if trial_energy <= energy + 1e-15 * (1.0 + abs(energy)):
                 break
-            tau *= 0.5
-            if tau < tau_floor:
+            if not steepest:
+                d, steepest = -pg, True
+                alpha = exact_step(u, d)
+                continue
+            alpha, halvings = 0.5 * alpha, halvings + 1
+            if halvings > _MAX_HALVINGS:
                 return FlowResult(
                     Field(grid, u), iterations, energy, False, grad, np.asarray(energies)
                 )
-            solver = _implicit_factor(op, tau)
         u, energy = trial, trial_energy
         energies.append(energy)
         iterations += 1
-        f, grad = f_and_grad(u)
+        g_prev, g_pg_prev = g, g_pg
+        g, grad = _gradient(op, u, weights)
 
     return FlowResult(
         Field(grid, u), iterations, energy, grad < cfg.grad_tol, grad, np.asarray(energies)

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,7 +132,13 @@ def test_divergent_timestep_exits_2(tmp_path, capsys):
                  "--dt", "5", "--t-end", "20", "--perturb-seed", "1",
                  "--target-d0", "0.3", "--out", str(tmp_path)])
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: step to t=5 failed: midpoint iteration diverged" in err
+    # Measured: non-finite at iteration 12, after a residual of 3.31e+140.
+    assert re.search(r"non-finite at iteration 12; last finite residual "
+                     r"\d\.\d\de\+\d+ at iteration 11\)", err)
+    assert "nan" not in err
+    assert not (tmp_path / "evolve").exists()
 
 
 def test_reports_are_byte_identical_across_runs_and_out_dirs(tmp_path):

@@ -5,6 +5,8 @@ Bars sit an order of magnitude above values measured on this implementation
 is being checked.
 """
 
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -287,6 +289,29 @@ def test_fixed_point_error_carries_diagnostics(monkeypatch):
     assert exc.value.residual > 1e-14
     assert exc.value.time == pytest.approx(1e-2)
     assert str(exc.value).startswith("step to t=0.01 failed: midpoint iteration stalled")
+
+
+def test_divergent_step_stops_at_its_first_non_finite_residual():
+    # dt = 5 overflows the midpoint iterate within the first step; iterating
+    # on NaN to the cap would report residual nan and hide where it broke.
+    g = make_grid(10.0, 100)
+    u0 = seeded_perturbation(B1, g, seed=1, target_d0=0.3)
+    with pytest.raises(FixedPointError) as exc:
+        evolve(u0, EvolveConfig(dt=5.0, t_end=20.0, gamma=1.0))
+    err = exc.value
+    assert 0 < err.iterations < evolution._FP_MAX_ITER  # measured 11
+    assert math.isfinite(err.residual) and err.residual > 1.0  # measured 3.3e140
+    assert err.time == 5.0
+    assert "midpoint iteration diverged" in str(err)
+    assert (f"non-finite at iteration {err.iterations + 1}; last finite residual "
+            f"{err.residual:.2e} at iteration {err.iterations})") in str(err)
+
+
+def test_fixed_point_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(FixedPointError("m", 1.0, 3, 0.5)))
+    assert type(err) is FixedPointError
+    assert str(err) == "m"
+    assert (err.residual, err.iterations, err.time) == (1.0, 3, 0.5)
 
 
 def test_instability_run_validates_inputs():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from gpdelta.energy import energy_gamma, energy_gradient, orbit_distance
-from gpdelta.grid import Field, l2_norm, make_grid
+from gpdelta import variational
+from gpdelta.energy import energy_gamma, energy_gradient, energy_values, orbit_distance
+from gpdelta.grid import Field, build_hgamma, l2_norm, make_grid, trapezoid_weights
 from gpdelta.solitons import StateKind, StationaryState, closed_form_energy, eval_state
 from gpdelta.variational import (
     FlowConfig,
@@ -69,6 +70,67 @@ def test_seeded_flow_descends_into_the_global_orbit(box, gamma, kind):
     assert np.all(steps <= 1e-15 * (1.0 + np.abs(res.energies[:-1])))
     assert np.min(res.energies) > exact - 1e-9
     assert first_integral_residual(res.field) < 1e-4  # measured 1.4e-5
+
+
+@pytest.mark.parametrize(
+    "gamma,index,odd,bound",
+    # Measured 407, 489 and 278, about a third of each bound; the fixed-step
+    # flow took 10,747, 20,475 and 1,898.
+    [(1.0, 0, False, 1200), (-1.0, 0, False, 1500), (1.0, 1, True, 850)],
+    ids=["plus", "minus", "odd"],
+)
+def test_seeded_flow_converges_in_cg_iterations(box, gamma, index, odd, bound):
+    res = gradient_flow(seeded_start(box, 0, index), gamma, FlowConfig(), odd_projection=odd)
+    assert res.converged
+    assert res.iterations <= bound
+
+
+@pytest.mark.parametrize(
+    "gamma,index,odd,bound",
+    # Measured after phase alignment: 1.9e-10 (plus) and 7.7e-9 (minus, whose
+    # endpoints are also rotated by 3.0e-6 rad along the orbit), each about a
+    # tenth of its bound. The odd flow of a reflected start is exactly the
+    # negated flow (negation commutes with every floating-point operation in
+    # it), so its gap is 0.
+    [(1.0, 0, False, 2e-9), (-1.0, 0, False, 1e-7), (1.0, 1, True, 0.0)],
+    ids=["plus", "minus", "odd"],
+)
+def test_flow_commutes_with_reflection(box, gamma, index, odd, bound):
+    u0 = seeded_start(box, 0, index)
+    res = gradient_flow(u0, gamma, FlowConfig(), odd_projection=odd)
+    mirrored = gradient_flow(Field(box, u0.values[::-1]), gamma, FlowConfig(),
+                             odd_projection=odd)
+    assert res.converged and mirrored.converged
+    a, b = res.field.values, mirrored.field.values[::-1]
+    overlap = np.sum(trapezoid_weights(box) * np.conj(b) * a)
+    gap = np.max(np.abs(a - overlap / abs(overlap) * b))
+    assert gap <= bound
+
+
+@pytest.mark.parametrize("direction", ["random", "origin", "left end", "right end"])
+def test_line_search_quartic_is_the_energy_along_the_direction(direction):
+    # The flow's step length rests on E(u + a d) being this quartic; the unit
+    # directions isolate the point term at index M and the half-weight ends.
+    g = make_grid(5.0, 20)
+    gamma = 1.3
+    weights = trapezoid_weights(g)
+    u = seeded_start(g, 2, 0).values
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
+    if direction != "random":
+        node = {"origin": g.M, "left end": 0, "right end": -1}[direction]
+        d = np.zeros(g.n_nodes, dtype=complex)
+        d[node] = 0.6 - 0.8j
+    coef = variational._energy_quartic(u, d, g, gamma, weights)
+    e0 = energy_values(u, g, gamma, weights).total
+    for alpha in (-0.7, -0.1, 0.05, 0.4, 1.3):
+        exact = energy_values(u + alpha * d, g, gamma, weights).total
+        assert e0 + np.polyval(coef, alpha) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    # Its slope at a = 0 is <g, d> in the trapezoid inner product: the flow's
+    # full-row gradient is the exact gradient of the energy it descends.
+    grad, _ = variational._gradient(build_hgamma(g, gamma), u, weights)
+    slope = np.sum(weights * (np.conj(grad) * d).real)
+    assert coef[-2] == pytest.approx(slope, rel=1e-12)
 
 
 def test_odd_projected_flow_reaches_the_kink(box):
