@@ -1,21 +1,23 @@
 """Energy minimization by preconditioned nonlinear conjugate gradients.
 
 The descent is Polak-Ribiere+ nonlinear CG (Antoine, Levitt & Tang, J.
-Comput. Phys. 343, 2017) preconditioned by P = (I + tau H_N)^-1, where H_N
-is H_gamma with reflected-Neumann end rows. The gradient H_N u - F(u), end
-rows included, is the exact gradient of the trapezoid energy in the
-trapezoid inner product, in which P is self-adjoint. P damps the stiff
-Laplacian end of the spectrum; CG takes care of the slow box-scale modes
-that a fixed-step flow contracts by only 1 - (pi/2L)^2 per step. Along a
-search direction the trapezoid energy is a quartic polynomial in the step,
-so the line search is exact.
+Comput. Phys. 343, 2017) on the trapezoid energy with natural ends,
+preconditioned by P = (s I + tau H_N)^-1, where H_N is H_gamma with
+reflected-Neumann end rows. The gradient H_N u - F(u), end rows included,
+is the exact gradient of the trapezoid energy in the trapezoid inner
+product, in which P is self-adjoint. P damps the stiff Laplacian end of
+the spectrum; CG takes care of the slow box-scale modes that a fixed-step
+flow contracts by only 1 - (pi/2L)^2 per step.
 
-The two end values are re-projected to unit modulus after every step. That
-leaves the far-field phase free to rotate, which matters: initial data with
-kink-like ends (-1 and +1) can only reach the even-soliton orbit by
-unwinding one arm's phase, and a value-clamped boundary makes that sector
-change impossible for any descent path. The projection can raise the energy
-the line search just lowered, which is why the flow keeps an energy guard.
+Phase and modulus of the end values are as free as every interior sample.
+The free far-field phase matters: initial data with kink-like ends (-1 and
++1) can only reach the even-soliton orbit by unwinding one arm's phase,
+which a value-clamped boundary forbids. Along a search direction the
+energy is a quartic polynomial in the step, so the line search is exact:
+its lowest real critical point is the quartic's global minimum, and the
+step cannot raise the energy. Nothing projects the iterate afterwards (the
+odd sector's projection maps odd fields to themselves), so the flow needs
+no energy guard.
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 BASIN_TOL = 0.05
-# Shift of the preconditioner (I + tau H_N)^-1.
+# Weight of H_N in the preconditioner (s I + tau H_N)^-1.
 _TAU = 0.9
-# A step the energy guard halves this often has underflowed.
-_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class FlowResult:
     energy: float
     converged: bool
     grad_norm: float
-    energies: np.ndarray  # accepted-iterate energy trace, starts at E(u0)
+    energies: np.ndarray  # energy after each step, starts at E(u0)
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,16 @@ class MinimizeReport:
 
 
 def _implicit_factor(op: DeltaOperator, tau: float) -> TridiagonalLU:
-    """Factor (I + tau H) with reflected-Neumann end rows."""
+    """Factor (s I + tau H) with reflected-Neumann end rows.
+
+    For gamma < 0, H_gamma has the bound state -gamma^2/4, so the shift
+    s = 1 + tau gamma^2/4 keeps the matrix positive at every coupling;
+    s = 1 for gamma >= 0.
+    """
     grid = op.grid
-    diag = (1.0 + tau * op.diagonal).astype(complex)
-    diag[0] = diag[-1] = 1.0 + 2.0 * tau / grid.h**2
+    shift = 1.0 + tau * min(op.gamma, 0.0) ** 2 / 4.0
+    diag = (shift + tau * op.diagonal).astype(complex)
+    diag[0] = diag[-1] = shift + 2.0 * tau / grid.h**2
     upper = np.full(grid.n_nodes - 1, tau * op.off_diagonal, dtype=complex)
     lower = upper.copy()
     upper[0] *= 2.0
@@ -111,15 +117,8 @@ def _implicit_factor(op: DeltaOperator, tau: float) -> TridiagonalLU:
     return TridiagonalLU(lower, diag, upper)
 
 
-def _postprocess(values: np.ndarray, odd: bool) -> np.ndarray:
-    if odd:
-        values = 0.5 * (values - values[::-1])
-    for end in (0, -1):
-        mod = abs(values[end])
-        if mod < 1e-8:
-            raise RuntimeError("boundary modulus collapsed during the flow")
-        values[end] /= mod
-    return values
+def _odd_part(values: np.ndarray) -> np.ndarray:
+    return 0.5 * (values - values[::-1])
 
 
 def _gradient(op: DeltaOperator, v: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -168,16 +167,14 @@ def gradient_flow(
 ) -> FlowResult:
     """Descend the energy from u0 until the interior gradient norm passes tol.
 
-    Preconditioned Polak-Ribiere+ nonlinear CG: the direction is -Pg plus
-    beta times the last one, with P = (I + tau H_N)^-1 factored once, and it
-    restarts at -Pg whenever it is not a descent direction. The step goes to
-    the lowest real critical point of the energy's quartic along the
-    direction. The end projection after the step can still raise the energy,
-    so a step that does is retried from -Pg and then at half the length until
-    it is accepted: the accepted energy trace is non-increasing by
-    construction. One iteration is one accepted step. Hitting max_iters or
-    halving _MAX_HALVINGS times returns the current iterate flagged as
-    non-converged instead of raising.
+    Preconditioned Polak-Ribiere+ nonlinear CG with natural ends: the
+    direction is -Pg plus beta times the last one, with P factored once, and
+    the step goes to the lowest real critical point of the energy's quartic
+    along the direction. The exact search leaves the new gradient orthogonal
+    to the last direction, so every direction descends and the energy trace
+    is non-increasing up to roundoff. One iteration is one step. Hitting
+    max_iters returns the current iterate flagged as non-converged instead
+    of raising.
     """
     grid = u0.grid
     op = build_hgamma(grid, gamma)
@@ -187,13 +184,9 @@ def gradient_flow(
     def inner(a, b):
         return np.vdot(a, weights * b).real
 
-    def exact_step(u, d):
-        # The real critical point of the quartic with the lowest energy.
-        coef = _energy_quartic(u, d, grid, gamma, weights)
-        roots = np.roots(np.polyder(coef)).real
-        return float(roots[np.argmin(np.polyval(coef, roots))])
-
-    u = _postprocess(u0.values.astype(complex, copy=True), odd_projection)
+    u = u0.values.astype(complex, copy=True)
+    if odd_projection:
+        u = _odd_part(u)
     energy = energy_values(u, grid, gamma, weights).total
     energies = [energy]
     g, grad = _gradient(op, u, weights)
@@ -204,29 +197,13 @@ def gradient_flow(
         g_pg = inner(g, pg)
         beta = 0.0 if d is None else max(0.0, (g_pg - inner(g_prev, pg)) / g_pg_prev)
         d = beta * d - pg if beta > 0.0 else -pg
-        steepest = beta == 0.0
-        if not steepest and not inner(g, d) < 0.0:
-            d, steepest = -pg, True
-        alpha, halvings = exact_step(u, d), 0
-        while True:
-            trial = _postprocess(u + alpha * d, odd_projection)
-            trial_energy = energy_values(trial, grid, gamma, weights).total
-            # Near convergence the decrement sinks below the resolution of
-            # double precision on E itself; insisting on a measured decrease
-            # there would stall the descent, so accept anything within one
-            # ulp-scale band of the current energy.
-            if trial_energy <= energy + 1e-15 * (1.0 + abs(energy)):
-                break
-            if not steepest:
-                d, steepest = -pg, True
-                alpha = exact_step(u, d)
-                continue
-            alpha, halvings = 0.5 * alpha, halvings + 1
-            if halvings > _MAX_HALVINGS:
-                return FlowResult(
-                    Field(grid, u), iterations, energy, False, grad, np.asarray(energies)
-                )
-        u, energy = trial, trial_energy
+        # The real critical point of the quartic with the lowest energy.
+        coef = _energy_quartic(u, d, grid, gamma, weights)
+        roots = np.roots(np.polyder(coef)).real
+        u = u + roots[np.argmin(np.polyval(coef, roots))] * d
+        if odd_projection:
+            u = _odd_part(u)
+        energy = energy_values(u, grid, gamma, weights).total
         energies.append(energy)
         iterations += 1
         g_prev, g_pg_prev = g, g_pg

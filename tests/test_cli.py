@@ -374,6 +374,16 @@ def test_instability_spectral_vs_fitted_rate(tmp_path):
     assert (tmp_path / "instability" / "growth.csv").exists()
 
 
+def test_minimize_converges_on_a_small_box(tmp_path):
+    # The end modulus of this box's minimizer is not 1; measured 95 and 103
+    # iterations.
+    report, _ = run(tmp_path, "minimize", "--gamma=1", "--n-starts", "2", "--seed", "3",
+                    "--L", "10", "--h", "0.2", "--max-iters", "300")
+    res = report["results"]
+    assert res["n_converged"] == 2
+    assert res["basins"] == {"even_tanh": 2}
+
+
 def test_minimize_finds_even_orbit(tmp_path):
     report, _ = run(tmp_path, "minimize", "--gamma", "1", "--L", "14",
                     "--h", "0.1", "--n-starts", "2", "--grad-tol", "1e-5")

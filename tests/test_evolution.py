@@ -129,6 +129,38 @@ def test_phase_rotation_commutes_with_the_flow():
     assert np.max(np.abs(rot - np.exp(0.7j) * ref)) < 1e-12  # measured 1.5e-14
 
 
+def _coth_run(u, n_steps):
+    # Criterion 8's grid and step; records only at the ends.
+    cfg = EvolveConfig(dt=2e-3, t_end=n_steps * 2e-3, gamma=-1.0, record_every=n_steps)
+    return evolve(Field(make_grid(40.0, 2000), u), cfg).final
+
+
+@pytest.fixture(scope="module")
+def coth_start():
+    return seeded_perturbation(BT1, make_grid(40.0, 2000), seed=3, target_d0=0.04).values
+
+
+@pytest.mark.parametrize(
+    "n_steps,bound",
+    # Reversing time is complex conjugation and the midpoint rule is
+    # symmetric, so the round trip returns u up to the fixed-point tolerance.
+    # Measured 2.8e-15 and 5.6e-13; bounds about 10x.
+    [(1, 3e-14), (500, 6e-12)],
+    ids=["one step", "500 steps"],
+)
+def test_conjugated_run_retraces_the_flow(coth_start, n_steps, bound):
+    back = np.conj(_coth_run(np.conj(_coth_run(coth_start, n_steps)), n_steps))
+    assert np.max(np.abs(back - coth_start)) <= bound
+
+
+def test_reflection_commutes_with_the_flow(coth_start):
+    # The grid and the delta are symmetric about x = 0. Measured 3.6e-13
+    # after 500 steps, in which u moves by 1.6e-2; bound about 10x.
+    ref = _coth_run(coth_start, 500)
+    mirrored = _coth_run(coth_start[::-1].copy(), 500)[::-1]
+    assert np.max(np.abs(mirrored - ref)) <= 4e-12
+
+
 def test_record_grid_is_consistent():
     g = make_grid(20.0, 400)
     cfg = EvolveConfig(dt=1e-3, t_end=0.55, gamma=1.0, record_every=100)
