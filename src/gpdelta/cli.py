@@ -30,7 +30,7 @@ from .evolution import (
     seeded_perturbation,
 )
 from .grid import Field, GridSpec, make_grid
-from .propagator import KernelQuery, gamma_kernel, gamma_kernel_by_quadrature
+from .propagator import KernelQuery, attractive_split, gamma_kernel, gamma_kernel_by_quadrature
 from .solitons import (
     StateKind,
     StationaryState,
@@ -216,10 +216,11 @@ def _run_kernel_check(args):
         )
         closed = gamma_kernel(q)
         oracle = gamma_kernel_by_quadrature(q)
-        rel = abs(closed.total - oracle) / abs(oracle)
+        rel = abs(closed - oracle) / abs(oracle)
         split = float("nan")
-        if closed.part1 is not None:  # split decomposition exists only for gamma < 0
-            split = abs(closed.part1 + closed.part2 - closed.total) / abs(closed.total)
+        if q.gamma < 0.0:
+            part1, part2 = attractive_split(q)
+            split = abs(part1 + part2 - closed) / abs(closed)
         rows.append((q.t, q.x, q.y, q.gamma, rel, split))
     rels = [r[4] for r in rows]
     splits = [r[5] for r in rows if not np.isnan(r[5])]
@@ -353,7 +354,7 @@ def _run_instability(args):
     }
     csvs = {}
     if rep.growth_rate is not None:
-        run = instability_run(args.gamma, args.eps, Field(grid, rep.direction), cfg)
+        run = instability_run(args.eps, Field(grid, rep.direction), cfg)
         rel = None
         if run.rate is not None:
             rel = abs(run.rate - rep.growth_rate) / rep.growth_rate
@@ -376,10 +377,10 @@ def _run_minimize(args):
         raise ValueError(f"need at least one start, got --n-starts {args.n_starts}")
     grid = _grid_from(args)
     cfg = FlowConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
-    rep = minimize_report(args.gamma, grid, n_starts=args.n_starts, cfg=cfg, odd=args.odd,
-                          seed=args.seed)
+    starts = minimize_report(args.gamma, grid, n_starts=args.n_starts, cfg=cfg, odd=args.odd,
+                             seed=args.seed)
     basins = {}
-    for s in rep.starts:
+    for s in starts:
         key = s.basin.name.lower() if s.basin is not None else "none"
         basins[key] = basins.get(key, 0) + 1
     rows = [
@@ -388,14 +389,14 @@ def _run_minimize(args):
             s.basin.name.lower() if s.basin is not None else "none",
             s.distance if np.isfinite(s.distance) else float("nan"),
         )
-        for s in rep.starts
+        for s in starts
     ]
     results = {
-        "odd": rep.odd,
+        "odd": args.odd,
         "basins": basins,
-        "n_converged": sum(1 for s in rep.starts if s.converged),
+        "n_converged": sum(1 for s in starts if s.converged),
         "max_orbit_distance": _num(
-            max((s.distance for s in rep.starts if np.isfinite(s.distance)), default=None),
+            max((s.distance for s in starts if np.isfinite(s.distance)), default=None),
             "discrete",
         ),
         "starts": [
@@ -407,7 +408,7 @@ def _run_minimize(args):
                 "energy_extrapolated": _num(s.energy_extrapolated, "discrete"),
                 "basin": s.basin.name.lower() if s.basin is not None else None,
             }
-            for s in rep.starts
+            for s in starts
         ],
     }
     header = ["index", "converged", "iterations", "energy",

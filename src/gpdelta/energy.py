@@ -21,7 +21,6 @@ __all__ = [
     "OrbitDistanceResult",
     "energy_gamma",
     "extrapolated_energy",
-    "abs_E",
     "d0",
     "dinfty",
     "nonlinear_F",
@@ -81,11 +80,6 @@ def extrapolated_energy(u: Field, gamma: float) -> float:
     e_h = energy_gamma(u, gamma).total
     e_2h = energy_gamma(coarse, gamma).total
     return (4.0 * e_h - e_2h) / 3.0
-
-
-def abs_E(u: Field) -> float:
-    """Energy-space magnitude sqrt(E_0(u)); the point term is excluded."""
-    return math.sqrt(energy_gamma(u, 0.0).total)
 
 
 def _deriv_sq_norm(values: np.ndarray, h: float) -> float:

@@ -1,4 +1,4 @@
-"""Uniform symmetric grids, the delta-modified Laplacian, and discrete L2 products."""
+"""Uniform symmetric grids, the delta-modified Laplacian, and the discrete L2 norm."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ __all__ = [
     "make_grid",
     "build_hgamma",
     "apply_hgamma",
-    "l2_inner",
-    "l2_inner_re",
     "l2_norm",
     "trapezoid_weights",
 ]
@@ -143,23 +141,6 @@ def trapezoid_weights(grid: GridSpec) -> np.ndarray:
     w = np.full(grid.n_nodes, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
     return w
-
-
-def _check_grids(u: Field, v: Field):
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-
-
-def l2_inner(u: Field, v: Field) -> complex:
-    """Trapezoid value of the sesquilinear product int u conj(v) dx."""
-    _check_grids(u, v)
-    w = trapezoid_weights(u.grid)
-    return complex(np.sum(w * u.values * np.conj(v.values)))
-
-
-def l2_inner_re(u: Field, v: Field) -> float:
-    """Real inner product Re int u conj(v) dx."""
-    return l2_inner(u, v).real
 
 
 def l2_norm(u: Field) -> float:

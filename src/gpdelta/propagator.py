@@ -21,12 +21,13 @@ rides an exponentially growing branch. Negative times come from the adjoint
 relation Gamma(-t,x,y) = conj(Gamma(t,x,y)).
 
 The defining integrals oscillate without decay in s, so they are kept only as
-a validation route (gamma_kernel_by_quadrature) and for the finite-interval
-split piece: each is a sum of integrals along steepest-descent paths of the
-quadratic phase, (s + c)^2 = (s0 + c)^2 + i q^2, on which the oscillation
-becomes the Gaussian e^{-q^2/(4t)}. One Gauss-Legendre rule in a sinh-mapped
-q, doubled from order 64 to 256 until two levels agree, costs the same at
-every t (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
+validation routes: gamma_kernel_by_quadrature, and the finite-interval piece
+of attractive_split, which kernel-check compares with the closed form. Each
+is a sum of integrals along steepest-descent paths of the quadratic phase,
+(s + c)^2 = (s0 + c)^2 + i q^2, on which the oscillation becomes the
+Gaussian e^{-q^2/(4t)}. One Gauss-Legendre rule in a sinh-mapped q, doubled
+from order 64 to 256 until two levels agree, costs the same at every t
+(Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .grid import Field, trapezoid_weights
 
 __all__ = [
     "KernelQuery",
-    "KernelValue",
     "k0",
     "w_erfc",
     "gamma_kernel",
     "gamma_kernel_by_quadrature",
+    "attractive_split",
     "g_func",
     "apply_propagator",
 ]
@@ -67,13 +68,6 @@ class KernelQuery:
     def __post_init__(self):
         if self.t == 0.0:
             raise ValueError("kernel is defined for t != 0")
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    total: complex
-    part1: complex | None = None
-    part2: complex | None = None
 
 
 def k0(t: float, zeta):
@@ -193,26 +187,28 @@ def _descent(t: float, c: float, s0: float, ag: float, side: float) -> complex:
     )
 
 
-def gamma_kernel(q: KernelQuery) -> KernelValue:
-    """Correction kernel Gamma(t,x,y); for gamma < 0 also its split parts.
+def gamma_kernel(q: KernelQuery) -> complex:
+    """Correction kernel Gamma(t,x,y) by the unified closed form, conjugated for t < 0.
 
-    part1 is the finite-interval quadrature piece, part2 the closed-form
-    remainder through g_func; total is always the unified closed form, so
-    total = part1 + part2 is a genuine two-route identity, not algebra.
+    No quadrature runs, so every folded distance a = |x| + |y| is answered.
     """
-    if q.t < 0.0:
-        pos = gamma_kernel(KernelQuery(-q.t, q.x, q.y, q.gamma))
-        return KernelValue(
-            pos.total.conjugate(),
-            None if pos.part1 is None else pos.part1.conjugate(),
-            None if pos.part2 is None else pos.part2.conjugate(),
-        )
     if q.gamma == 0.0:
-        return KernelValue(0.0j)
+        return 0.0j
+    value = _gamma_closed_form(abs(q.t), abs(q.x) + abs(q.y), q.gamma)
+    return value.conjugate() if q.t < 0.0 else value
+
+
+def attractive_split(q: KernelQuery) -> tuple[complex, complex]:
+    """The two routes (part1, part2) whose sum is Gamma(t,x,y) for gamma < 0, t > 0.
+
+    part1 is the finite-interval piece, integrated on steepest-descent paths;
+    part2 the closed-form remainder through g_func. gamma_kernel never calls
+    either, so part1 + part2 = gamma_kernel(q) is a genuine two-route
+    identity, not algebra.
+    """
+    if q.gamma >= 0.0 or q.t <= 0.0:
+        raise ValueError("the split exists for gamma < 0 and t > 0")
     a = abs(q.x) + abs(q.y)
-    total = _gamma_closed_form(q.t, a, q.gamma)
-    if q.gamma > 0.0:
-        return KernelValue(total)
     ag = abs(q.gamma)
     # K0(t, s - a) = K0(t, 0) e^{i (s - a)^2/(4t)}: the paths from 0 and from
     # a/2 leave the same way, so their difference is the integral over [0, a/2].
@@ -224,7 +220,7 @@ def gamma_kernel(q: KernelQuery) -> KernelValue:
         * math.exp(-0.25 * ag * a)
         * g_func(q.t, 0.25 * a / math.sqrt(q.t), q.gamma)
     )
-    return KernelValue(total, part1, part2)
+    return part1, part2
 
 
 def gamma_kernel_by_quadrature(q: KernelQuery) -> complex:

@@ -47,7 +47,6 @@ __all__ = [
     "FlowConfig",
     "FlowResult",
     "StartReport",
-    "MinimizeReport",
     "gradient_flow",
     "seeded_start",
     "minimize_report",
@@ -78,7 +77,6 @@ class FlowResult:
     energy: float
     converged: bool
     grad_norm: float
-    energies: np.ndarray  # energy after each step, starts at E(u0)
 
 
 @dataclass(frozen=True)
@@ -90,13 +88,6 @@ class StartReport:
     energy_extrapolated: float
     basin: StateKind | None
     distance: float
-
-
-@dataclass(frozen=True)
-class MinimizeReport:
-    gamma: float
-    odd: bool
-    starts: tuple[StartReport, ...]
 
 
 def _implicit_factor(op: DeltaOperator, tau: float) -> TridiagonalLU:
@@ -171,8 +162,8 @@ def gradient_flow(
     direction is -Pg plus beta times the last one, with P factored once, and
     the step goes to the lowest real critical point of the energy's quartic
     along the direction. The exact search leaves the new gradient orthogonal
-    to the last direction, so every direction descends and the energy trace
-    is non-increasing up to roundoff. One iteration is one step. Hitting
+    to the last direction, so every direction descends and no step raises
+    the energy beyond roundoff. One iteration is one step. Hitting
     max_iters returns the current iterate flagged as non-converged instead
     of raising.
     """
@@ -187,8 +178,6 @@ def gradient_flow(
     u = u0.values.astype(complex, copy=True)
     if odd_projection:
         u = _odd_part(u)
-    energy = energy_values(u, grid, gamma, weights).total
-    energies = [energy]
     g, grad = _gradient(op, u, weights)
     d = None
     iterations = 0
@@ -203,15 +192,12 @@ def gradient_flow(
         u = u + roots[np.argmin(np.polyval(coef, roots))] * d
         if odd_projection:
             u = _odd_part(u)
-        energy = energy_values(u, grid, gamma, weights).total
-        energies.append(energy)
         iterations += 1
         g_prev, g_pg_prev = g, g_pg
         g, grad = _gradient(op, u, weights)
 
-    return FlowResult(
-        Field(grid, u), iterations, energy, grad < cfg.grad_tol, grad, np.asarray(energies)
-    )
+    energy = energy_values(u, grid, gamma, weights).total
+    return FlowResult(Field(grid, u), iterations, energy, grad < cfg.grad_tol, grad)
 
 
 def seeded_start(grid: GridSpec, seed: int, index: int = 0) -> Field:
@@ -252,7 +238,7 @@ def minimize_report(
     cfg: FlowConfig = FlowConfig(),
     odd: bool = False,
     seed: int = 0,
-) -> MinimizeReport:
+) -> tuple[StartReport, ...]:
     """Run n_starts flows from seeded_start(grid, seed, k) and classify where each landed.
 
     Basins are decided by orbit distance below 0.05 among the families that
@@ -285,4 +271,4 @@ def minimize_report(
                 distance=float(dist),
             )
         )
-    return MinimizeReport(gamma=float(gamma), odd=odd, starts=tuple(starts))
+    return tuple(starts)

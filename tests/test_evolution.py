@@ -17,7 +17,6 @@ from gpdelta.energy import dinfty, nonlinear_values, orbit_distance
 from gpdelta.evolution import (
     EvolveConfig,
     FixedPointError,
-    Trajectory,
     evolve,
     instability_run,
     seeded_perturbation,
@@ -49,17 +48,6 @@ def test_config_rejects_bad_values():
     # 10.5 steps would silently run 10 and report t_end = 0.01.
     with pytest.raises(ValueError, match=r"t_end 0.0105 .* dt 0.001 steps \(t_end/dt = 10.5\)"):
         EvolveConfig(**{**good, "t_end": 0.0105})
-
-
-def test_trajectory_rejects_inconsistent_records():
-    g = make_grid(10.0, 100)
-    final = np.zeros(g.n_nodes, dtype=complex)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0]), np.zeros(3), None, final)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(2), final)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0, 0.5]), np.zeros(3), None, final)
 
 
 def test_evolve_does_not_alias_its_input():
@@ -349,14 +337,15 @@ def test_fixed_point_error_survives_pickling():
 def test_instability_run_validates_inputs():
     g = make_grid(40.0, 1000)
     direction = Field(g, np.exp(-g.x**2) + 0j)  # not unit norm
-    cfg = EvolveConfig(dt=1e-3, t_end=0.1, gamma=1.0)
-    with pytest.raises(ValueError):
-        instability_run(-1.0, 1e-4, direction, EvolveConfig(dt=1e-3, t_end=0.1, gamma=-1.0))
-    with pytest.raises(ValueError):
-        instability_run(1.0, 1e-4, direction, cfg)
     unit = Field(g, direction.values / l2_norm(direction))
+    cfg = EvolveConfig(dt=1e-3, t_end=0.1, gamma=1.0)
+    # The run evolves at cfg.gamma, so that is the coupling it checks.
+    with pytest.raises(ValueError, match="repulsive case"):
+        instability_run(1e-4, unit, EvolveConfig(dt=1e-3, t_end=0.1, gamma=-1.0))
+    with pytest.raises(ValueError, match="normalized"):
+        instability_run(1e-4, direction, cfg)
     with pytest.raises(ValueError, match="eps must be positive, got 0"):
-        instability_run(1.0, 0.0, unit, cfg)
+        instability_run(0.0, unit, cfg)
 
 
 def test_odd_perturbations_do_not_grow():
@@ -366,7 +355,7 @@ def test_odd_perturbations_do_not_grow():
     odd = g.x * np.exp(-0.5 * g.x**2) * (1.0 + 0.3j)
     odd /= np.sqrt(np.sum(np.abs(odd) ** 2) * g.h)
     cfg = EvolveConfig(dt=1e-3, t_end=2.0, gamma=1.0, record_every=100)
-    res = instability_run(1.0, 1e-4, Field(g, odd), cfg)
+    res = instability_run(1e-4, Field(g, odd), cfg)
     assert res.rate is None
     assert res.window_points == 0
     assert np.max(res.trajectory.orbit_trace) < 1e-3  # measured 2.5e-4

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from gpdelta import spectra
 from gpdelta.grid import make_grid
 from gpdelta.spectra import (
     EDGE_LMINUS,
     EDGE_LPLUS,
-    SpectralReport,
     Which,
     build_lpm,
     eigs_below,
@@ -101,13 +99,6 @@ def test_amplitude_block_kernel_direction_at_zero_coupling(canon):
 
 
 # ------------------------------------------------------------- eigs_below
-
-
-def test_eigs_below_reports_count_when_k_max_is_exceeded(canon, monkeypatch):
-    m = build_lpm(canon, -1.0, Which.LPLUS)
-    monkeypatch.setattr(spectra, "_K_MAX", 1)
-    with pytest.raises(ValueError, match="found 3 eigenvalues"):
-        eigs_below(m, EDGE_LPLUS)
 
 
 def test_amplitude_block_negative_count_flips_with_the_coupling_sign(canon):
@@ -234,19 +225,3 @@ def test_instability_is_deterministic_and_sign_pinned():
     assert one.mu_min == two.mu_min and one.growth_rate == two.growth_rate
     assert np.array_equal(one.direction, two.direction)
     assert one.direction.real[grid.M] > 0.0
-
-
-# ----------------------------------------------------------------- report
-
-
-def test_report_invariants_are_enforced():
-    ok = dict(
-        gamma=1.0,
-        lminus_eigs=np.array([-0.25]),
-        lplus_eigs=np.array([0.4, 1.5]),
-        n_neg_minus=1,
-        n_neg_plus=0,
-    )
-    SpectralReport(**ok)
-    with pytest.raises(ValueError):
-        SpectralReport(**{**ok, "lplus_eigs": np.array([1.5, 0.4])})

@@ -64,11 +64,7 @@ def test_seeded_flow_descends_into_the_global_orbit(box, gamma, kind):
     d = orbit_distance(res.field, kind, gamma).distance
     assert d < 1e-3  # measured 2.8e-5 (tanh), 4.7e-4 (coth)
     exact = closed_form_energy(StationaryState(kind, gamma))
-    # Acceptance band: accepted energies never increase beyond the roundoff
-    # band and never dip below the continuum minimum.
-    steps = np.diff(res.energies)
-    assert np.all(steps <= 1e-15 * (1.0 + np.abs(res.energies[:-1])))
-    assert np.min(res.energies) > exact - 1e-9
+    assert res.energy > exact - 1e-9  # never below the continuum minimum
     assert first_integral_residual(res.field) < 1e-4  # measured 1.4e-5
 
 
@@ -130,10 +126,10 @@ def test_preconditioner_stays_positive_past_the_bound_state():
     # At gamma = -3 the bound state -gamma^2/4 = -2.25 makes I + 0.9 H_N
     # indefinite; unshifted, neither start converges in 2000 iterations.
     # Measured 381 and 460 iterations, both at orbit distance 7.7e-3.
-    rep = minimize_report(-3.0, make_grid(20.0, 1000), n_starts=2,
-                          cfg=FlowConfig(max_iters=2000))
-    assert all(s.converged for s in rep.starts)
-    assert all(s.basin is StateKind.EVEN_COTH for s in rep.starts)
+    starts = minimize_report(-3.0, make_grid(20.0, 1000), n_starts=2,
+                             cfg=FlowConfig(max_iters=2000))
+    assert all(s.converged for s in starts)
+    assert all(s.basin is StateKind.EVEN_COTH for s in starts)
 
 
 @pytest.mark.parametrize("direction", ["random", "origin", "left end", "right end"])
@@ -175,7 +171,6 @@ def test_flow_reports_non_convergence_instead_of_raising(box):
     res = gradient_flow(seeded_start(box, 0, 0), 1.0, FlowConfig(max_iters=5))
     assert not res.converged
     assert res.iterations == 5
-    assert res.energies.shape == (6,)
 
 
 @pytest.mark.parametrize(
@@ -189,8 +184,28 @@ def test_flow_agrees_with_the_field_api(gamma, odd):
                         odd_projection=odd)
     assert res.iterations > 0
     assert res.energy == energy_gamma(res.field, gamma).total
-    assert res.energies[-1] == res.energy
     assert res.grad_norm == l2_norm(energy_gradient(res.field, gamma))
+
+
+@pytest.mark.parametrize(
+    "gamma,index,odd", [(1.0, 0, False), (-1.0, 0, False), (1.0, 1, True)],
+    ids=["plus", "minus", "odd"],
+)
+def test_flow_energy_never_rises_step_by_step(gamma, index, odd):
+    # The flow stops after exactly max_iters steps, so running it to each k in
+    # turn reads the energy after every step of the full run (measured 108,
+    # 113 and 23 steps; largest relative rise 1.9e-16).
+    g = make_grid(10.0, 100)
+    u0 = seeded_start(g, 0, index)
+    full = gradient_flow(u0, gamma, FlowConfig(), odd_projection=odd)
+    assert full.converged
+    start = variational._odd_part(u0.values) if odd else u0.values
+    energies = np.array([energy_gamma(Field(g, start), gamma).total] + [
+        gradient_flow(u0, gamma, FlowConfig(max_iters=k), odd_projection=odd).energy
+        for k in range(1, full.iterations + 1)
+    ])
+    assert np.all(np.diff(energies) <= 1e-15 * (1.0 + np.abs(energies[:-1])))
+    assert energies[-1] == full.energy
 
 
 def test_seeded_starts_are_reproducible_and_bounded(box):
@@ -211,8 +226,7 @@ def test_minimize_report_rejects_zero_coupling(box):
 
 
 def test_minimize_report_flags_unconverged_starts(box):
-    rep = minimize_report(1.0, box, n_starts=1, cfg=FlowConfig(max_iters=3))
-    (start,) = rep.starts
+    (start,) = minimize_report(1.0, box, n_starts=1, cfg=FlowConfig(max_iters=3))
     assert not start.converged
     assert start.basin is None
     assert np.isinf(start.distance)
@@ -220,11 +234,11 @@ def test_minimize_report_flags_unconverged_starts(box):
 
 def test_minimize_report_classifies_basins(box):
     # One fast start per coupling: full 10-start sweeps live in acceptance.
-    rep = minimize_report(1.0, box, n_starts=1)
-    assert rep.starts[0].basin is StateKind.EVEN_TANH
+    (start,) = minimize_report(1.0, box, n_starts=1)
+    assert start.basin is StateKind.EVEN_TANH
     exact = closed_form_energy(StationaryState(StateKind.EVEN_TANH, 1.0))
-    assert rep.starts[0].energy_extrapolated == pytest.approx(exact, abs=1e-6)
-    rep = minimize_report(-1.0, box, n_starts=1)
-    assert rep.starts[0].basin is StateKind.EVEN_COTH
+    assert start.energy_extrapolated == pytest.approx(exact, abs=1e-6)
+    (start,) = minimize_report(-1.0, box, n_starts=1)
+    assert start.basin is StateKind.EVEN_COTH
     exact = closed_form_energy(StationaryState(StateKind.EVEN_COTH, -1.0))
-    assert rep.starts[0].energy_extrapolated == pytest.approx(exact, abs=1e-6)
+    assert start.energy_extrapolated == pytest.approx(exact, abs=1e-6)
