@@ -37,8 +37,7 @@ from .solitons import (
     closed_form_energy,
     eval_state,
     families,
-    theta_gamma,
-    theta_tilde,
+    origin_value,
 )
 from .spectra import ABSORBED_ABOVE, instability_eigenvalue, lambda_curve, spectral_report
 from .variational import FlowConfig, minimize_report
@@ -150,17 +149,11 @@ def _run_stationary(args):
         name = kind.name.lower()
         header += [f"{name}_re", f"{name}_im"]
         cols += [u.values.real, u.values.imag]
-        if kind is StateKind.EVEN_TANH:
-            origin = theta_gamma(args.gamma)
-        elif kind is StateKind.EVEN_COTH:
-            origin = theta_tilde(args.gamma)
-        else:
-            origin = 0.0
         results[name] = {
             "energy_closed_form": _num(closed_form_energy(state), "closed_form"),
             "energy_discrete": _num(energy_gamma(u, args.gamma).total, "discrete"),
             "energy_extrapolated": _num(extrapolated_energy(u, args.gamma), "discrete"),
-            "origin_value": _num(origin, "closed_form"),
+            "origin_value": _num(origin_value(state), "closed_form"),
         }
     rows = list(zip(*cols))
     return grid, results, {"profiles.csv": (header, rows)}
@@ -239,6 +232,12 @@ def _run_kernel_check(args):
 
 
 def _build_initial_state(args, grid):
+    # --target-d0 sizes the perturbation: refused without one, 0.04 when omitted.
+    if args.perturb_seed is None:
+        if args.target_d0 is not None:
+            raise ValueError("--target-d0 needs --perturb-seed: nothing is perturbed without it")
+    elif args.target_d0 is None:
+        args.target_d0 = 0.04
     if args.state == "constant":
         if args.gamma != 0.0:
             raise ValueError("the constant background is stationary only at gamma = 0")
@@ -468,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", choices=sorted(_STATE_NAMES) + ["constant"],
                     default="even-tanh")
     sp.add_argument("--perturb-seed", dest="perturb_seed", type=_seed, default=None)
-    sp.add_argument("--target-d0", dest="target_d0", type=_finite, default=0.04)
+    sp.add_argument("--target-d0", dest="target_d0", type=_finite, default=None)
     sp.add_argument("--record-every", dest="record_every", type=int, default=100)
     _add_shared(sp, L=40.0, h=0.005, dt=1e-3, t_end=1.0)
 

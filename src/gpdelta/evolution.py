@@ -78,7 +78,6 @@ class Trajectory:
     No intermediate field is kept, so memory does not grow with the records.
     """
 
-    grid: GridSpec
     times: np.ndarray
     energy_trace: np.ndarray
     orbit_trace: np.ndarray | None
@@ -175,7 +174,7 @@ def evolve(
                     Field(grid, u), orbit_target.kind, orbit_target.gamma).distance)
 
     orbit_trace = np.array(orbit) if orbit_target is not None else None
-    return Trajectory(grid, np.asarray(times), np.array(energies), orbit_trace, u)
+    return Trajectory(np.asarray(times), np.array(energies), orbit_trace, u)
 
 
 @dataclass(frozen=True)

@@ -160,14 +160,19 @@ def _descent(t: float, c: float, s0: float, ag: float, side: float) -> complex:
     b = abs(u0)
     qmax = math.sqrt(160.0 * math.log(10.0) * t)
     vmax = math.asinh(qmax / b) if b > 0.0 else qmax
+    # For b << sqrt t the integrand grows like cosh v up to the Gaussian's edge
+    # near v = asinh(sqrt t / b); that edge gets a panel of its own.
+    vsplit = math.asinh(math.sqrt(t) / b) - 2.0 if b > 0.0 else 0.0
+    edges = (0.0, vsplit, vmax) if vsplit > 1.0 else (0.0, vmax)
 
     def level(order: int) -> tuple[complex, float]:
         nodes, wts = _gl_rule(order)
-        v = 0.5 * vmax * (nodes + 1.0)
+        half = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+        v = np.concatenate([lo + hw * (nodes + 1.0) for lo, hw in zip(edges, half)])
         q, dq = (b * np.sinh(v), b * np.cosh(v)) if b > 0.0 else (v, 1.0)
         u = side * np.sqrt(u0 * u0 + 1j * q * q)
         f = np.exp(-0.5 * ag * (u - c) - q * q / (4.0 * t)) * (1j * q / u) * dq
-        contrib = (0.5 * vmax) * wts * f
+        contrib = np.concatenate([hw * wts for hw in half]) * f
         return complex(np.sum(contrib)), float(np.sum(np.abs(contrib)))
 
     prev, _ = level(_ORDERS[0])

@@ -28,6 +28,7 @@ __all__ = [
     "c_gamma",
     "theta_gamma",
     "theta_tilde",
+    "origin_value",
     "eval_state",
     "eval_state_derivative",
     "closed_form_energy",
@@ -87,6 +88,15 @@ def theta_tilde(gamma: float) -> float:
     return -1.0 / theta_gamma(gamma)
 
 
+def origin_value(state: StationaryState) -> float:
+    """Profile value at x = 0: theta_gamma, theta_tilde, or 0 for the kink."""
+    if state.kind is StateKind.KINK:
+        return 0.0
+    if state.kind is StateKind.EVEN_TANH:
+        return theta_gamma(state.gamma)
+    return theta_tilde(state.gamma)
+
+
 def _profile(state: StationaryState, x: np.ndarray) -> np.ndarray:
     if state.kind is StateKind.KINK:
         return np.tanh(x / _SQRT2)
@@ -127,14 +137,10 @@ def closed_form_energy(state: StationaryState) -> float:
 
     A tempting further "simplification" that linearizes th^3 through the jump
     relation drops a gamma^2 th term and is wrong; the form above matches
-    direct quadrature of the energy integrand to machine precision.
+    direct quadrature of the energy integrand to machine precision. The kink
+    (th = 0) gets 2 sqrt2 / 3 exactly.
     """
-    if state.kind is StateKind.KINK:
-        return _E_KINK
-    if state.kind is StateKind.EVEN_TANH:
-        th = theta_gamma(state.gamma)
-    else:
-        th = theta_tilde(state.gamma)
+    th = origin_value(state)
     return _E_KINK - _SQRT2 * th * (0.5 + th * th / 6.0)
 
 

@@ -17,19 +17,11 @@ from pathlib import Path
 import pytest
 
 import gpdelta
+from conftest import run
 from gpdelta import cli, propagator, variational
 from gpdelta.cli import main
 
 PROVENANCES = {"closed_form", "discrete", "fitted"}
-
-
-def run(tmp_path, *argv):
-    code = main([*argv, "--out", str(tmp_path)])
-    assert code == 0
-    sub = argv[0]
-    report = json.loads((tmp_path / sub / "report.json").read_text())
-    manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
-    return report, manifest
 
 
 def walk_value_dicts(node):
@@ -100,6 +92,10 @@ def test_invalid_parameters_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1",
                  "--perturb-seed", "1", "--target-d0", "0", "--out", str(tmp_path)]) == 1
     assert "target_d0 must be positive" in capsys.readouterr().err
+    # Without --perturb-seed nothing is perturbed, so a target would only be recorded.
+    assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1", "--dt", "0.01",
+                 "--t-end", "0.1", "--target-d0", "0.3", "--out", str(tmp_path)]) == 1
+    assert "--target-d0 needs --perturb-seed" in capsys.readouterr().err
     # The constant background is never perturbed, so a seed would only be recorded.
     assert main(["evolve", "--gamma", "0", "--state", "constant", "--perturb-seed", "3",
                  "--L", "10", "--h", "0.1", "--out", str(tmp_path)]) == 1
@@ -306,34 +302,38 @@ def test_kernel_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_evolve_perturbed_soliton(tmp_path):
-    report, _ = run(tmp_path, "evolve", "--gamma", "1", "--L", "20",
-                    "--h", "0.05", "--dt", "0.01", "--t-end", "0.5",
-                    "--perturb-seed", "0")
+    report, manifest = run(tmp_path, "evolve", "--gamma", "1", "--L", "20",
+                           "--h", "0.05", "--dt", "0.01", "--t-end", "0.5",
+                           "--perturb-seed", "0")
     res = report["results"]
     assert res["energy_drift"]["value"] < 1e-9
     assert 0.02 < res["sup_orbit_distance"]["value"] < 0.06
     assert (tmp_path / "evolve" / "final.csv").exists()
     assert (tmp_path / "evolve" / "trace.csv").exists()
+    assert manifest["parameters"]["target_d0"] == 0.04  # the default distance
 
 
 def test_evolve_constant_background_has_no_orbit_column(tmp_path):
     report, _ = run(tmp_path, "evolve", "--gamma", "0", "--state", "constant",
                     "--L", "10", "--h", "0.1", "--dt", "0.01", "--t-end", "0.2")
     assert report["results"]["sup_orbit_distance"]["value"] is None
+    assert report["manifest"]["parameters"]["target_d0"] is None  # nothing perturbed
     header = (tmp_path / "evolve" / "trace.csv").read_text().splitlines()[0]
     assert header == "t,energy"
 
 
 def test_stability_sweep_smoke(tmp_path):
-    report, _ = run(tmp_path, "stability-sweep", "--gamma", "1", "--L", "15",
-                    "--h", "0.05", "--dt", "0.01", "--t-end", "2",
-                    "--n-seeds", "2")
-    res = report["results"]
-    assert res["family"] == "even_tanh"
-    assert res["max_sup_d0"]["value"] < 0.1
-    assert res["max_energy_drift"]["value"] < 1e-8
-    lines = (tmp_path / "stability-sweep" / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 + 2
+    # The sweep picks its family by the sign of gamma.
+    for gamma, family in (("1", "even_tanh"), ("-1", "even_coth")):
+        report, _ = run(tmp_path, "stability-sweep", f"--gamma={gamma}", "--L", "15",
+                        "--h", "0.05", "--dt", "0.01", "--t-end", "2",
+                        "--n-seeds", "2")
+        res = report["results"]
+        assert res["family"] == family
+        assert res["max_sup_d0"]["value"] < 0.1
+        assert res["max_energy_drift"]["value"] < 1e-8
+        lines = (tmp_path / "stability-sweep" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2
 
 
 def test_spectrum_negative_gamma_counts(tmp_path):

@@ -333,10 +333,23 @@ def test_gamma_kernel_split_identity_at_small_times(t, x, y, gamma):
 
 @pytest.mark.parametrize("t,a", [(0.5, 1e-12), (1.0, 1e-12), (1.0, 1e-9)])
 def test_gamma_kernel_at_tiny_folded_distance(t, a):
-    # The closed form needs no quadrature; the path rule of _descent does not
-    # converge at these queries (measured errors 2.6e-16, 1.6e-15, 1.2e-15).
+    # The closed form needs no quadrature (measured errors 2.6e-16, 1.6e-15,
+    # 1.2e-15).
     q = KernelQuery(t, a, 0.0, -5.0)
     assert relerr(gamma_kernel(q), real_line_oracle(q)) < 1e-12
+
+
+@pytest.mark.parametrize("t,a", [(0.5, 1e-12), (1.0, 1e-12), (1.0, 1e-9)])
+def test_path_rule_at_tiny_folded_distance(t, a):
+    # At a << sqrt t the path integrand grows like cosh v up to the Gaussian's
+    # edge near v = asinh(sqrt t / a); one rule over the whole v range did not
+    # converge at gamma = -5. The edge now has a panel of its own.
+    q = KernelQuery(t, a, 0.0, -5.0)
+    want = real_line_oracle(q)
+    assert relerr(gamma_kernel_by_quadrature(q), want) < 1e-12
+    assert relerr(sum(attractive_split(q)), want) < 1e-12
+    q = KernelQuery(t, a, 0.0, 5.0)
+    assert relerr(gamma_kernel_by_quadrature(q), real_line_oracle(q)) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from gpdelta.solitons import (
     closed_form_energy,
     eval_state,
     eval_state_derivative,
+    families,
+    origin_value,
     theta_gamma,
     theta_tilde,
 )
@@ -52,6 +54,19 @@ def test_origin_values():
         assert theta_gamma(g) == pytest.approx(math.tanh(-c_gamma(g) / SQRT2), abs=1e-14)
     with pytest.raises(ValueError):
         theta_tilde(0.5)
+
+
+def test_origin_value_is_the_profile_at_the_origin():
+    grid = make_grid(10.0, 100)
+    for g in (1.0, -1.0):
+        for kind in families(g):
+            state = StationaryState(kind, g)
+            at_origin = eval_state(state, grid).values[grid.M].real
+            assert origin_value(state) == pytest.approx(at_origin, abs=1e-14)
+    # The kink's origin value is an exact zero, so its energy is exactly 2 sqrt2 / 3.
+    kink = StationaryState(StateKind.KINK, -1.0)
+    assert origin_value(kink) == 0.0
+    assert closed_form_energy(kink) == 2.0 * SQRT2 / 3.0
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 2.0, -0.5, -1.0, -2.0, 17.0, -0.01])
