@@ -1,4 +1,4 @@
-"""Discrete energy, energy-space metrics, gradient, and distance to soliton orbits.
+"""Discrete energy, its gradient, and the distance to soliton orbits.
 
 The discretization is chosen so that the gradient of the discrete energy is
 exactly the tridiagonal operator action minus the nonlinearity (see
@@ -20,11 +20,12 @@ __all__ = [
     "EnergyBreakdown",
     "OrbitDistanceResult",
     "energy_gamma",
+    "energy_values",
     "extrapolated_energy",
-    "d0",
-    "dinfty",
     "nonlinear_F",
+    "nonlinear_values",
     "energy_gradient",
+    "gradient_values",
     "orbit_distance",
 ]
 
@@ -82,33 +83,11 @@ def extrapolated_energy(u: Field, gamma: float) -> float:
     return (4.0 * e_h - e_2h) / 3.0
 
 
-def _deriv_sq_norm(values: np.ndarray, h: float) -> float:
-    return float(np.sum(np.abs(np.diff(values)) ** 2) / h)
-
-
 def _modulus_gap_norm(u: Field, v: Field) -> float:
     # |u|^2 - |v|^2 = Re((u-v) conj(u+v)) avoids cancellation when both
     # moduli are near 1 but the fields differ by a phase.
     gap = ((u.values - v.values) * np.conj(u.values + v.values)).real
     return float(np.sqrt(np.sum(trapezoid_weights(u.grid) * gap**2)))
-
-
-def d0(u: Field, v: Field) -> float:
-    """||u'-v'|| + |u(0)-v(0)| + || |u|^2-|v|^2 ||, all on the grid."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    deriv = math.sqrt(_deriv_sq_norm(u.values - v.values, u.grid.h))
-    origin = abs(u.values[u.grid.M] - v.values[v.grid.M])
-    return deriv + origin + _modulus_gap_norm(u, v)
-
-
-def dinfty(u: Field, v: Field) -> float:
-    """Like d0 but with the sup norm of u - v as the middle term."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    deriv = math.sqrt(_deriv_sq_norm(u.values - v.values, u.grid.h))
-    sup = float(np.max(np.abs(u.values - v.values)))
-    return deriv + sup + _modulus_gap_norm(u, v)
 
 
 def nonlinear_F(u: Field) -> Field:
@@ -126,8 +105,8 @@ def energy_gradient(u: Field, gamma: float) -> Field:
     With the kinetic term built from consecutive differences, the potential
     from trapezoid weights and the point term lumped, the chain rule gives
     exactly H_gamma u - (1-|u|^2) u at every interior node; weights cancel.
-    Boundary components are forced to zero (the boundary is clamped wherever
-    the gradient is consumed).
+    The end components are zero, the gradient for clamped ends; the flow,
+    which leaves its ends free, overwrites them with its Neumann rows.
     """
     v = u.values
     return Field(u.grid, gradient_values(build_hgamma(u.grid, gamma), v, nonlinear_values(v)))

@@ -196,6 +196,9 @@ def instability_run(eps: float, direction: Field, cfg: EvolveConfig) -> Instabil
         raise ValueError("instability runs target the repulsive case gamma > 0")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps:g}")
+    if not 10.0 * eps < 1e-2:
+        raise ValueError(f"eps must be below 1e-3, got {eps:g}: the fit window "
+                         f"[10 eps, 1e-2] = [{10.0 * eps:g}, 1e-2] is empty")
     norm = float(np.sqrt(np.sum(np.abs(direction.values) ** 2) * direction.grid.h))
     if not np.isclose(norm, 1.0, rtol=1e-8):
         raise ValueError("direction must be normalized")

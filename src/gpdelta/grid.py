@@ -63,9 +63,6 @@ class Field:
             raise ValueError("field contains non-finite samples")
         self.values = v
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True)
 class DeltaOperator:

@@ -277,7 +277,7 @@ def apply_propagator(u0: Field, t: float, gamma: float, boundary_tol: float = 1e
     time-stepping evolution, not to this kernel route).
     """
     if t == 0.0:
-        return u0.copy()
+        return Field(u0.grid, u0.values.copy())
     grid = u0.grid
     v = u0.values
     edge = max(abs(v[0]), abs(v[-1]))

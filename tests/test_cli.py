@@ -66,7 +66,7 @@ def test_unknown_flag_is_a_usage_error(capsys):
         ("evolve", "--seed"), ("stability-sweep", "--seed"),
         ("spectrum", "--dt"), ("spectrum", "--seed"),
         ("lambda-curve", "--dt"), ("lambda-curve", "--seed"),
-        ("instability", "--seed"), ("minimize", "--dt"),
+        ("instability", "--seed"), ("minimize", "--dt"), ("minimize", "--grad-tol"),
     ):
         gamma = [] if sub in ("energy-table", "kernel-check", "lambda-curve") else ["--gamma", "1"]
         assert main([sub, *gamma, flag, "1"]) == 64, (sub, flag)
@@ -103,6 +103,11 @@ def test_invalid_parameters_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["instability", "--gamma", "1", "--L", "10", "--h", "0.1", "--eps", "0",
                  "--t-end", "1", "--out", str(tmp_path)]) == 1
     assert "eps must be positive, got 0" in capsys.readouterr().err
+    # The growth-rate fit window [10 eps, 1e-2] is empty from eps = 1e-3 on.
+    assert main(["instability", "--gamma", "1", "--L", "10", "--h", "0.1", "--eps", "2e-3",
+                 "--t-end", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "eps must be below 1e-3, got 0.002" in err and "[10 eps, 1e-2]" in err
     # 10.5 steps used to run 10 and report t_end 0.01 beside a recorded 0.0105.
     assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1", "--t-end", "0.0105",
                  "--dt", "0.001", "--out", str(tmp_path)]) == 1
@@ -334,6 +339,10 @@ def test_stability_sweep_smoke(tmp_path):
         assert res["max_energy_drift"]["value"] < 1e-8
         lines = (tmp_path / "stability-sweep" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
+        # Each start is scaled to sit at the default --target-d0 0.04.
+        col = lines[0].split(",").index("d0_initial")
+        for line in lines[1:]:
+            assert float(line.split(",")[col]) == pytest.approx(0.04, rel=1e-4)
 
 
 def test_spectrum_negative_gamma_counts(tmp_path):
@@ -384,9 +393,10 @@ def test_minimize_converges_on_a_small_box(tmp_path):
     assert res["basins"] == {"even_tanh": 2}
 
 
-def test_minimize_finds_even_orbit(tmp_path):
+def test_minimize_finds_even_orbit(tmp_path, monkeypatch):
+    monkeypatch.setattr(variational, "_GRAD_TOL", 1e-5)
     report, _ = run(tmp_path, "minimize", "--gamma", "1", "--L", "14",
-                    "--h", "0.1", "--n-starts", "2", "--grad-tol", "1e-5")
+                    "--h", "0.1", "--n-starts", "2")
     res = report["results"]
     assert res["basins"] == {"even_tanh": 2}
     assert res["n_converged"] == 2

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from gpdelta.energy import (
-    d0,
-    dinfty,
     energy_gamma,
     energy_gradient,
     extrapolated_energy,
@@ -14,6 +12,7 @@ from gpdelta.energy import (
 )
 from gpdelta.grid import Field, l2_norm, make_grid, trapezoid_weights
 from gpdelta.solitons import StateKind, StationaryState, closed_form_energy, eval_state
+from oracles import d0, dinfty
 
 SQRT2 = math.sqrt(2.0)
 

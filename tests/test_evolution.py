@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gpdelta import evolution
-from gpdelta.energy import dinfty, nonlinear_values, orbit_distance
+from gpdelta.energy import nonlinear_values, orbit_distance
 from gpdelta.evolution import (
     EvolveConfig,
     FixedPointError,
@@ -24,6 +24,7 @@ from gpdelta.evolution import (
 from gpdelta.grid import Field, TridiagonalLU, build_hgamma, l2_norm, make_grid
 from gpdelta.propagator import apply_propagator
 from gpdelta.solitons import StateKind, StationaryState, eval_state
+from oracles import dinfty
 
 B1 = StationaryState(StateKind.EVEN_TANH, 1.0)
 BT1 = StationaryState(StateKind.EVEN_COTH, -1.0)
