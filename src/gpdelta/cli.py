@@ -89,6 +89,17 @@ def _num(value, provenance: str) -> dict:
     return {"value": float(value), "provenance": provenance}
 
 
+def _nonfinite_key(node, key=""):
+    """Path of the first non-finite number in a results tree, in report order, or None."""
+    if isinstance(node, dict):
+        items = [(f"{key}.{k}" if key else k, v) for k, v in sorted(node.items())]
+    elif isinstance(node, list):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return key if isinstance(node, float) and not math.isfinite(node) else None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
+
+
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
@@ -352,6 +363,13 @@ def _run_instability(args):
     }
     csvs = {}
     if rep.growth_rate is not None:
+        # The fit needs 4 recorded points in [10 eps, 1e-2]; estimate them from the rate.
+        if 0.0 < 10.0 * args.eps < 1e-2:
+            points = math.log(1e-3 / args.eps) / (rep.growth_rate * cfg.dt * cfg.record_every)
+            if points < 4.0:
+                raise ValueError(f"eps {args.eps:g} at growth rate {rep.growth_rate:.6g} leaves "
+                                 f"about {points:.2g} recorded points in the fit window "
+                                 f"[10 eps, 1e-2] = [{10.0 * args.eps:g}, 1e-2]; the fit needs 4")
         run = instability_run(args.eps, Field(grid, rep.direction), cfg)
         rel = None
         if run.rate is not None:
@@ -527,7 +545,8 @@ def _write_outputs(args, grid, results, csvs, elapsed):
         lines += [",".join(_fmt(c) for c in row) for row in rows]
         (out_dir / name).write_text("\n".join(lines) + "\n")
     report = {"manifest": manifest, "results": results}
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (out_dir / "report.json").write_text(
+        json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
     manifest["wall_time_s"] = elapsed
     (out_dir / "manifest.json").write_text(
@@ -547,6 +566,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         grid, results, csvs = _RUNNERS[args.command](args)
+        if (key := _nonfinite_key(results)) is not None:
+            raise FloatingPointError(f"non-finite result {key}; no file written")
     except ValueError as err:
         print(f"invalid parameters: {err}", file=sys.stderr)
         return 1

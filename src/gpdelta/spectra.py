@@ -62,7 +62,6 @@ class Which(enum.Enum):
 class SpectralReport:
     """Eigenvalues below the essential edges of both blocks and their negative counts."""
 
-    gamma: float
     lminus_eigs: np.ndarray
     lplus_eigs: np.ndarray
     n_neg_minus: int
@@ -144,7 +143,6 @@ def spectral_report(gamma: float, grid: GridSpec) -> SpectralReport:
     lminus = eigs_below(build_lpm(grid, gamma, Which.LMINUS), EDGE_LMINUS)
     lplus = eigs_below(build_lpm(grid, gamma, Which.LPLUS), EDGE_LPLUS)
     return SpectralReport(
-        gamma=float(gamma),
         lminus_eigs=lminus,
         lplus_eigs=lplus,
         n_neg_minus=int(np.sum(lminus < 0.0)),

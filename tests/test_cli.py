@@ -306,6 +306,35 @@ def test_kernel_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "kernel-check").exists()
 
 
+def test_instability_eps_is_refused_when_the_fit_window_holds_too_few_points(tmp_path, capsys):
+    # At rate 0.363, dt = 1e-3 and 50 steps a record, the window [10 eps, 1e-2]
+    # is predicted to hold 0.55 points at eps = 9.9e-4 (measured: 0) and 5.8 at
+    # 9e-4 (measured: 6). The refusal comes before the evolution starts.
+    flags = ["instability", "--gamma", "1", "--L", "15", "--h", "0.05", "--t-end", "12"]
+    assert main([*flags, "--eps", "9.9e-4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "eps 0.00099 at growth rate 0.36" in err and "about 0.55 recorded points" in err
+    assert "[10 eps, 1e-2] = [0.0099, 1e-2]; the fit needs 4" in err
+    assert not any(tmp_path.iterdir())
+    report, _ = run(tmp_path, *flags, "--eps", "9e-4")
+    assert report["results"]["window_points"] >= 4
+    assert report["results"]["fitted_rate"]["value"] is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
+@pytest.mark.parametrize("argv, key", [
+    (["stationary", "--gamma=-1e200"], "even_coth.energy_closed_form.value"),
+    (["energy-table", "--gammas=-1e200"], "rows[2].closed_form.value"),
+])
+def test_non_finite_result_exits_2_and_writes_nothing(argv, key, tmp_path, capsys):
+    # The even-coth origin value ~ |gamma| / (2 sqrt 2) overflows when raised
+    # to the fourth power; the report would hold Infinity and NaN.
+    assert main([*argv, "--L", "10", "--h", "0.1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: non-finite result {key}; no file written" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_evolve_perturbed_soliton(tmp_path):
     report, manifest = run(tmp_path, "evolve", "--gamma", "1", "--L", "20",
                            "--h", "0.05", "--dt", "0.01", "--t-end", "0.5",

@@ -81,8 +81,11 @@ def test_step_solves_the_cn_equation(linear):
     assert nxt[0] == u[0] and nxt[-1] == u[-1]
 
 
-def test_solve_count_of_a_seeded_coth_run(monkeypatch):
-    # 500 steps at four solves each: a changed iteration or stop rule shows here.
+@pytest.mark.parametrize("linear, solves", [(False, 2000), (True, 500)],
+                         ids=["nonlinear", "linear"])
+def test_solve_count_of_a_seeded_coth_run(linear, solves, monkeypatch):
+    # 500 steps at four solves each, or at one when linear: a changed
+    # iteration, stop rule or linear step shows here.
     calls = []
     solve = TridiagonalLU.solve
 
@@ -93,8 +96,9 @@ def test_solve_count_of_a_seeded_coth_run(monkeypatch):
     monkeypatch.setattr(TridiagonalLU, "solve", counting)
     g = make_grid(20.0, 1000)
     u0 = seeded_perturbation(BT1, g, seed=0)
-    tr = evolve(u0, EvolveConfig(dt=2e-3, t_end=1.0, gamma=-1.0), orbit_target=BT1)
-    assert len(calls) == 2000
+    tr = evolve(u0, EvolveConfig(dt=2e-3, t_end=1.0, gamma=-1.0, linear=linear),
+                orbit_target=BT1)
+    assert len(calls) == solves
     assert tr.final[0] == u0.values[0] and tr.final[-1] == u0.values[-1]
 
 
