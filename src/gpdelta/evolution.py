@@ -35,6 +35,10 @@ __all__ = [
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 50
 
+# Linear steps solve for w + _SHIFT (1 + i) on the interior rows: 2^-900 sits far
+# above the subnormals (below 2.2e-308) and far below eps times any value read.
+_SHIFT = 2.0 ** -900
+
 
 class FixedPointError(RuntimeError):
     """Midpoint iteration failed to contract; carries the diagnostic state."""
@@ -96,6 +100,13 @@ class _CrankNicolson:
     moves the ends' coupling into the right-hand side, so no pivot mixes them in.
     With F zeroed there, w keeps u's end samples bit for bit, and so does 2w - u,
     since 2x and 2x - x are exact. Elsewhere this is the plain midpoint rule.
+
+    A linear step solves for w + c, with c = _SHIFT (1 + i) on the interior rows.
+    A decaying packet's tails underflow, and the solve's forward sweep would carry
+    them down to the smallest subnormal, where every operation is many times
+    slower; shifted, no sweep works on a value near that range. Both parts of c
+    are nonzero, since each underflows on its own. c is 0 on the end rows, where
+    A c is then 0, so the end samples stay bit for bit.
     """
 
     def __init__(self, grid: GridSpec, cfg: EvolveConfig):
@@ -108,15 +119,24 @@ class _CrankNicolson:
         off = np.full(grid.n_nodes - 1, self._off)
         off[0] = off[-1] = 0.0
         self._lu = TridiagonalLU(off, diag, off)
+        c = np.full(grid.n_nodes, _SHIFT * (1.0 + 1.0j))
+        c[0] = c[-1] = 0.0
+        self._ac = diag * c  # the band product A c
+        self._ac[:-1] += off * c[1:]
+        self._ac[1:] += off * c[:-1]
 
     def step(self, u: np.ndarray, prev: np.ndarray, t: float) -> np.ndarray:
         """u advanced by one dt to time t; prev is u one step back. FixedPointError names t."""
         # u with the clamped ends' coupling moved into rows 1 and n-2.
-        base = u.copy()
+        base = u + self._ac if self.cfg.linear else u.copy()
         base[1] -= self._off * u[0]
         base[-2] -= self._off * u[-1]
         if self.cfg.linear:
-            return 2.0 * self._lu.solve(base) - u
+            w = self._lu.solve(base)  # w + c, worked on in place
+            w[1:-1] -= _SHIFT * (1.0 + 1.0j)
+            w *= 2.0
+            w -= u
+            return w
         w = 1.5 * u - 0.5 * prev  # the midpoint extrapolated from the last two steps
         # The residual is that of u+ = 2w - u, against a scale fixed by u.
         tol = _FP_TOL * (1.0 + float(np.max(np.abs(u))))
@@ -151,23 +171,31 @@ def evolve(
     """Step u0 to t_end and return the final field with the recorded traces.
 
     Energy (and, with orbit_target, the orbit distance) is evaluated at t = 0,
-    every record_every steps and at the last step, as the run passes them.
+    every record_every steps and at the last step, as the run passes them. A
+    non-finite value at t = 0 is a RuntimeError before any step.
     """
     grid = u0.grid
     stepper = _CrankNicolson(grid, cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
 
     times, energies, orbit = [], [], []
+
+    def record(k: int, u: np.ndarray) -> None:
+        times.append(k * cfg.dt)
+        field = Field(grid, u)
+        energies.append(energy_gamma(field, cfg.gamma).total)
+        if orbit_target is not None:
+            orbit.append(orbit_distance(field, orbit_target.kind, orbit_target.gamma).distance)
+
     u = prev = u0.values.copy()
-    for k in range(n_steps + 1):
-        if k:
-            prev, u = u, stepper.step(u, prev, k * cfg.dt)
+    record(0, u)
+    for name, trace in (("energy", energies), ("orbit distance", orbit)):
+        if trace and not math.isfinite(trace[0]):
+            raise RuntimeError(f"initial state: {name} at t=0 is {trace[0]}; no step taken")
+    for k in range(1, n_steps + 1):
+        prev, u = u, stepper.step(u, prev, k * cfg.dt)
         if k % cfg.record_every == 0 or k == n_steps:
-            times.append(k * cfg.dt)
-            field = Field(grid, u)
-            energies.append(energy_gamma(field, cfg.gamma).total)
-            if orbit_target is not None:
-                orbit.append(orbit_distance(field, orbit_target.kind, orbit_target.gamma).distance)
+            record(k, u)
 
     orbit_trace = np.array(orbit) if orbit_target is not None else None
     return Trajectory(np.asarray(times), np.array(energies), orbit_trace, u)

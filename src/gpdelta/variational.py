@@ -96,7 +96,11 @@ def _implicit_factor(op: DeltaOperator, tau: float) -> TridiagonalLU:
     s = 1 for gamma >= 0.
     """
     grid = op.grid
-    shift = 1.0 + tau * min(op.gamma, 0.0) ** 2 / 4.0
+    try:
+        shift = 1.0 + tau * min(op.gamma, 0.0) ** 2 / 4.0
+    except OverflowError as err:
+        raise RuntimeError(f"gradient-flow preconditioner: the shift 1 + tau gamma^2/4 "
+                           f"overflows at gamma={op.gamma:g}, tau={tau:g}") from err
     diag = (shift + tau * op.diagonal).astype(complex)
     diag[0] = diag[-1] = shift + 2.0 * tau / grid.h**2
     upper = np.full(grid.n_nodes - 1, tau * op.off_diagonal, dtype=complex)

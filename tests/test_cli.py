@@ -335,6 +335,24 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, key, tmp_path, capsy
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
+@pytest.mark.parametrize("argv, stage", [
+    # tau gamma^2 / 4 overflows before the flow starts.
+    (["minimize", "--gamma=-1e300", "--n-starts", "1"],
+     "gradient-flow preconditioner: the shift 1 + tau gamma^2/4 overflows at "
+     "gamma=-1e+300, tau=0.9"),
+    # The state's energy is NaN before any step is taken.
+    (["evolve", "--gamma=-1e200", "--state", "even-coth", "--dt", "0.01",
+      "--t-end", "0.02"], "initial state: energy at t=0 is nan; no step taken"),
+], ids=["minimize", "evolve"])
+def test_edge_coupling_failure_names_its_stage(argv, stage, tmp_path, capsys):
+    assert main([*argv, "--L", "10", "--h", "0.1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: {stage}" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_evolve_perturbed_soliton(tmp_path):
     report, manifest = run(tmp_path, "evolve", "--gamma", "1", "--L", "20",
                            "--h", "0.05", "--dt", "0.01", "--t-end", "0.5",
