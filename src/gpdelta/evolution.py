@@ -188,7 +188,9 @@ def evolve(
             orbit.append(orbit_distance(field, orbit_target.kind, orbit_target.gamma).distance)
 
     u = prev = u0.values.copy()
-    record(0, u)
+    # The check below names the stage; numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, u)
     for name, trace in (("energy", energies), ("orbit distance", orbit)):
         if trace and not math.isfinite(trace[0]):
             raise RuntimeError(f"initial state: {name} at t=0 is {trace[0]}; no step taken")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,24 +84,205 @@ class DeltaOperator:
         return self.diagonal[1:-1] * v[1:-1] + self.off_diagonal * (v[:-2] + v[2:])
 
 
+# The smallest matrix tried as two blocks (a handoff to the helper costs about
+# 17 us, a sweep about 14 ns per row), and the spike cut-off.
+_SPLIT_MIN_ROWS = 3000
+_SPIKE_CUT = 2.0 ** -60
+
+# Bound once at import. The caller's own sweep and every factorization look
+# lapack.zgttrs / zgttrf up at call time, where a profiler may wrap them; the
+# helper thread and the spike solves never call those wrappers, which need
+# not be thread-safe.
+_zgttrs = lapack.zgttrs
+
+
 class TridiagonalLU:
     """LU factors of a complex tridiagonal matrix, kept for repeated solves.
 
-    Callers build the bands, end rows included; the matrix is factored once
-    (LAPACK zgttrf) and each solve is a zgttrs sweep.
+    Callers build the bands, end rows included. The matrix is factored once
+    (LAPACK zgttrf) and each solve is a zgttrs sweep, or two half-size ones.
+
+    A matrix of at least _SPLIT_MIN_ROWS rows is tried as two diagonal blocks
+    (the partition or "SPIKE" method: Polizzi & Sameh, Parallel Computing 32,
+    2006). Each block is factored on its own, and its spike, the block's inverse
+    applied to its coupling column, is computed once and cut where it falls
+    below _SPIKE_CUT of its peak. A solve sweeps block 2 on a helper thread
+    while the caller sweeps block 1, solves the 2 x 2 interface system and
+    corrects the rows the spikes reach. The split is kept only when both spikes
+    reach at most a quarter of their block: Crank-Nicolson's I + i dt/2 H has
+    spikes of about a hundred rows, while the flow's preconditioner
+    (s I + tau H_N) has spikes that span nearly its whole block, so it keeps
+    the single sweep. Below the row floor the thread handoff costs more than
+    half a sweep saves.
+
+    The split's arithmetic is the same on one core, where both blocks are swept
+    inline, so a result does not depend on the core count. It differs from the
+    single sweep at the rounding level only.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._factors = (dl, d, du, du2, ipiv)
+        self._split = None
+        if diag.size >= _SPLIT_MIN_ROWS:
+            self._split = _Split.try_factor(lower, diag, upper)
+        if self._split is None:
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
+            if info != 0:
+                raise RuntimeError(f"tridiagonal factorization failed (info={info})")
+            self._factors = (dl, d, du, du2, ipiv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._split is not None:
+            return self._split.solve(rhs)
         x, info = lapack.zgttrs(*self._factors, rhs)
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return x
+
+
+def _sweep(zgttrs, factors: tuple, x: np.ndarray) -> None:
+    """One zgttrs sweep on the contiguous complex array x, in place."""
+    _, info = zgttrs(*factors, x, overwrite_b=1)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal solve failed (info={info})")
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _Split:
+    """Blocks A1 = rows [0, m) and A2 = rows [m, n), with their cut spikes.
+
+    For A x = f, with g = blocks^-1 f, V = A1^-1 (A[m-1, m] e_last) and
+    W = A2^-1 (A[m, m-1] e_first), the interface values a = x[m-1] and b = x[m]
+    solve a + V[-1] b = g[m-1] and W[0] a + b = g[m]; then x1 = g1 - V b and
+    x2 = g2 - W a.
+    """
+
+    m: int
+    top: tuple  # zgttrf factors of A1
+    bottom: tuple  # and of A2
+    v: np.ndarray  # V's last rows, down to row m-1
+    w: np.ndarray  # W's first rows, from row m
+    det: complex  # 1 - V[-1] W[0]
+    threaded: bool  # sweep A2 on the helper thread
+
+    @classmethod
+    def try_factor(cls, lower, diag, upper) -> _Split | None:
+        """The split of the matrix, or None where a spike is long or a block singular."""
+        n = diag.size
+        m = n // 2
+        blocks = []
+        for rows, bands, coupling, end in (
+            (m, (lower[:m - 1], diag[:m], upper[:m - 1]), upper[m - 1], -1),
+            (n - m, (lower[m:], diag[m:], upper[m:]), lower[m - 1], 0),
+        ):
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(*bands)
+            if info != 0:
+                return None
+            factors = (dl, d, du, du2, ipiv)
+            spike = np.zeros(rows, dtype=complex)
+            spike[end] = coupling
+            _sweep(_zgttrs, factors, spike)
+            mag = np.abs(spike)
+            peak = mag.max()
+            if not 0.0 < peak < np.inf:
+                return None
+            kept = np.flatnonzero(mag >= _SPIKE_CUT * peak)
+            # V reaches up from row m-1, W down from row m.
+            cut = spike[kept[0]:] if end else spike[:kept[-1] + 1]
+            if cut.size > rows // 4:
+                return None
+            blocks.append((factors, cut.copy()))
+        (top, v), (bottom, w) = blocks
+        det = complex(1.0 - v[-1] * w[0])
+        if det == 0.0 or not np.isfinite(det):
+            return None
+        return cls(m, top, bottom, v, w, det, _usable_cores() > 1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        m = self.m
+        x = np.array(rhs, dtype=complex)
+        top, bottom = x[:m], x[m:]
+        helper = _Helper.claim() if self.threaded else None
+        if helper is None:
+            _sweep(lapack.zgttrs, self.top, top)
+            _sweep(_zgttrs, self.bottom, bottom)
+        else:
+            helper.start(self.bottom, bottom)
+            try:
+                _sweep(lapack.zgttrs, self.top, top)
+            finally:
+                helper.join()
+        g1, g2 = top[-1], bottom[0]
+        a = (g1 - self.v[-1] * g2) / self.det
+        b = (g2 - self.w[0] * g1) / self.det
+        top[m - self.v.size:] -= b * self.v
+        bottom[:self.w.size] -= a * self.w
+        return x
+
+
+class _Helper:
+    """One daemon thread that sweeps block 2 of a split solve, for one caller at a time.
+
+    Started on the first threaded solve. A caller that finds it busy (another
+    thread is solving) sweeps block 2 inline, with the same arithmetic. A forked
+    child drops the parent's helper, whose thread it does not have.
+    """
+
+    _lock = threading.Lock()
+    _instance: _Helper | None = None
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = None
+        self._error = None
+        threading.Thread(target=self._run, name="gpdelta-tridiagonal", daemon=True).start()
+
+    @classmethod
+    def claim(cls) -> _Helper | None:
+        """The helper, reserved for the caller until its join, or None while busy."""
+        with cls._lock:
+            if cls._instance is None:
+                cls._instance = cls()
+            helper = cls._instance
+        return helper if helper.busy.acquire(blocking=False) else None
+
+    @classmethod
+    def forget(cls) -> None:
+        cls._lock = threading.Lock()
+        cls._instance = None
+
+    def _run(self) -> None:
+        while True:
+            self._go.acquire()
+            try:
+                _sweep(_zgttrs, *self._task)
+            except Exception as err:  # raised again in the caller by join
+                self._error = err
+            self._done.release()
+
+    def start(self, factors: tuple, x: np.ndarray) -> None:
+        self._task = (factors, x)
+        self._go.release()
+
+    def join(self) -> None:
+        self._done.acquire()
+        error, self._error, self._task = self._error, None, None
+        self.busy.release()
+        if error is not None:
+            raise error
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_Helper.forget)
 
 
 def make_grid(L: float, M: int) -> GridSpec:

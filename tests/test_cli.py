@@ -335,21 +335,21 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, key, tmp_path, capsy
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
 @pytest.mark.parametrize("argv, stage", [
     # tau gamma^2 / 4 overflows before the flow starts.
-    (["minimize", "--gamma=-1e300", "--n-starts", "1"],
-     "gradient-flow preconditioner: the shift 1 + tau gamma^2/4 overflows at "
-     "gamma=-1e+300, tau=0.9"),
-    # The state's energy is NaN before any step is taken.
-    (["evolve", "--gamma=-1e200", "--state", "even-coth", "--dt", "0.01",
-      "--t-end", "0.02"], "initial state: energy at t=0 is nan; no step taken"),
-], ids=["minimize", "evolve"])
+    pytest.param(["minimize", "--gamma=-1e300", "--n-starts", "1"],
+                 "gradient-flow preconditioner: the shift 1 + tau gamma^2/4 overflows at "
+                 "gamma=-1e+300, tau=0.9", id="minimize",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # The state's energy is NaN before any step is taken; no numpy warning
+    # reaches the user ahead of the message.
+    pytest.param(["evolve", "--gamma=-1e200", "--state", "even-coth", "--dt", "0.01",
+                  "--t-end", "0.02"], "initial state: energy at t=0 is nan; no step taken",
+                 id="evolve"),
+])
 def test_edge_coupling_failure_names_its_stage(argv, stage, tmp_path, capsys):
     assert main([*argv, "--L", "10", "--h", "0.1", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"numerical failure: {stage}" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"numerical failure: {stage}\n"
     assert not any(tmp_path.iterdir())
 
 

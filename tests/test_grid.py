@@ -1,7 +1,14 @@
+import multiprocessing
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
+from gpdelta import grid
 from gpdelta.grid import (
     Field,
     TridiagonalLU,
@@ -164,34 +171,72 @@ def _dense_tridiagonal(lower, diag, upper):
     return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
-def test_tridiagonal_lu_solves_both_end_row_layouts():
-    g = make_grid(2.0, 20)
-    op = build_hgamma(g, -0.7)
-    n = g.n_nodes
-    rng = np.random.default_rng(5)
-    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+def _direct_sweep(bands, rhs):
+    """One zgttrf/zgttrs pair on the whole matrix: the reference for TridiagonalLU."""
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(*bands)
+    assert info == 0
+    x, info = lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
+    assert info == 0
+    return x
 
-    # Crank-Nicolson: I + i dt/2 H inside, identity end rows.
-    z = 0.5j * 0.01
-    cn_diag = np.ones(n, dtype=complex)
-    cn_diag[1:-1] += z * op.diagonal[1:-1]
-    cn_upper = np.full(n - 1, z * op.off_diagonal, dtype=complex)
-    cn_lower = cn_upper.copy()
-    cn_upper[0] = cn_lower[-1] = 0.0
 
-    # Gradient flow: I + tau H with reflected-Neumann end rows.
-    tau = 0.9
-    gf_diag = (1.0 + tau * op.diagonal).astype(complex)
-    gf_diag[0] = gf_diag[-1] = 1.0 + 2.0 * tau / g.h**2
-    gf_upper = np.full(n - 1, tau * op.off_diagonal, dtype=complex)
-    gf_lower = gf_upper.copy()
-    gf_upper[0] *= 2.0
-    gf_lower[-1] *= 2.0
+def _cn_bands(op, dt):
+    """Crank-Nicolson: I + i dt/2 H inside, identity end rows."""
+    n = op.grid.n_nodes
+    z = 0.5j * dt
+    diag = np.ones(n, dtype=complex)
+    diag[1:-1] += z * op.diagonal[1:-1]
+    upper = np.full(n - 1, z * op.off_diagonal, dtype=complex)
+    lower = upper.copy()
+    upper[0] = lower[-1] = 0.0
+    return lower, diag, upper
 
-    for bands in ((cn_lower, cn_diag, cn_upper), (gf_lower, gf_diag, gf_upper)):
-        x = TridiagonalLU(*bands).solve(rhs)
-        want = np.linalg.solve(_dense_tridiagonal(*bands), rhs)
-        np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
+
+# (L, M, dt): n = 41, under the row floor; n = 4001, criterion 8's
+# Crank-Nicolson and the descent flow's grid; n = 6001, instability's default
+# grid; n = 16001, the linear workload's grid.
+_LU_CASES = ((2.0, 20, 0.01), (40.0, 2000, 2e-3), (30.0, 3000, 1e-3), (40.0, 8000, 1e-4))
+
+
+def test_tridiagonal_lu_solves_both_end_row_layouts(monkeypatch):
+    for L, M, dt in _LU_CASES:
+        g = make_grid(L, M)
+        op = build_hgamma(g, -0.7)
+        n = g.n_nodes
+        rng = np.random.default_rng(5)
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cn = _cn_bands(op, dt)
+
+        # Gradient flow: I + tau H with reflected-Neumann end rows. Its spikes
+        # span most of a block, so it keeps the single sweep at every size.
+        tau = 0.9
+        gf_diag = (1.0 + tau * op.diagonal).astype(complex)
+        gf_diag[0] = gf_diag[-1] = 1.0 + 2.0 * tau / g.h**2
+        gf_upper = np.full(n - 1, tau * op.off_diagonal, dtype=complex)
+        gf_lower = gf_upper.copy()
+        gf_upper[0] *= 2.0
+        gf_lower[-1] *= 2.0
+        gf = (gf_lower, gf_diag, gf_upper)
+
+        if n < grid._SPLIT_MIN_ROWS:
+            for bands in (cn, gf):
+                x = TridiagonalLU(*bands).solve(rhs)
+                assert x.tobytes() == _direct_sweep(bands, rhs).tobytes()
+                want = np.linalg.solve(_dense_tridiagonal(*bands), rhs)
+                np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
+            continue
+        assert TridiagonalLU(*gf).solve(rhs).tobytes() == _direct_sweep(gf, rhs).tobytes()
+
+        # Crank-Nicolson splits. Each schedule (helper thread, or one core
+        # inline) gives the same bits, within rounding of the single sweep.
+        monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
+        threaded = TridiagonalLU(*cn).solve(rhs)
+        monkeypatch.setattr(grid, "_usable_cores", lambda: 1)
+        inline = TridiagonalLU(*cn).solve(rhs)
+        assert threaded.tobytes() == inline.tobytes()
+        want = _direct_sweep(cn, rhs)
+        err = np.max(np.abs(threaded - want)) / np.max(np.abs(want))
+        assert 0.0 < err <= 1e-14, (n, err)  # measured <= 7e-16; 0 would mean no split
 
 
 def test_tridiagonal_lu_rejects_a_singular_matrix():
@@ -199,3 +244,67 @@ def test_tridiagonal_lu_rejects_a_singular_matrix():
     off = np.zeros(3, dtype=complex)
     with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
         TridiagonalLU(off, np.array([1.0, 0.0, 1.0, 1.0], dtype=complex), off)
+
+
+def _solve_in_child(bands, rhs, want):
+    # The parent's helper thread does not exist here; a solve that handed
+    # block 2 to it would wait forever.
+    x = TridiagonalLU(*bands).solve(rhs)
+    sys.exit(0 if x.tobytes() == want.tobytes() else 1)
+
+
+def test_split_solves_share_one_helper_across_threads_and_a_fork(monkeypatch):
+    before = threading.active_count()
+    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
+    op = build_hgamma(make_grid(40.0, 2000), 1.0)
+    rng = np.random.default_rng(7)
+    systems = []
+    for dt in (2e-3, 1e-3):
+        bands = _cn_bands(op, dt)
+        rhs = rng.normal(size=op.grid.n_nodes) + 1j * rng.normal(size=op.grid.n_nodes)
+        systems.append((bands, rhs, TridiagonalLU(*bands).solve(rhs)))
+
+    for _ in range(50):
+        bands, rhs, want = systems[0]
+        assert TridiagonalLU(*bands).solve(rhs).tobytes() == want.tobytes()
+    assert threading.active_count() <= before + 1
+
+    # Two callers at once: one holds the helper, the other sweeps inline.
+    solved = [0, 0]
+
+    def work(i):
+        bands, rhs, want = systems[i]
+        lu = TridiagonalLU(*bands)
+        for _ in range(200):
+            if lu.solve(rhs).tobytes() == want.tobytes():
+                solved[i] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60.0
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert solved == [200, 200]
+
+    # A forked child starts its own helper.
+    bands, rhs, want = systems[0]
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on any fork of a threaded process; this test forks one on purpose.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        child = multiprocessing.get_context("fork").Process(
+            target=_solve_in_child, args=(bands, rhs, want))
+        child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung on a split solve")
+    assert child.exitcode == 0
