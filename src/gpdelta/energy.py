@@ -19,6 +19,7 @@ from .solitons import StateKind, StationaryState, eval_state
 __all__ = [
     "EnergyBreakdown",
     "OrbitDistanceResult",
+    "coarse_grid",
     "energy_gamma",
     "energy_values",
     "extrapolated_energy",
@@ -66,6 +67,14 @@ def energy_values(
     return EnergyBreakdown(kinetic, point, potential, kinetic + point + potential)
 
 
+def coarse_grid(grid: GridSpec) -> GridSpec:
+    """The grid of spacing 2h that extrapolated_energy also evaluates on."""
+    if grid.M % 2 or grid.M < 4:
+        raise ValueError("the extrapolated energy coarsens by 2: it needs at least 4 "
+                         f"intervals per half line and an even M, got M = {grid.M}")
+    return GridSpec(grid.L, grid.M // 2)
+
+
 def extrapolated_energy(u: Field, gamma: float) -> float:
     """Two-level Richardson value (4 E_h - E_2h) / 3.
 
@@ -74,10 +83,7 @@ def extrapolated_energy(u: Field, gamma: float) -> float:
     node of both grids the h^2 term cancels exactly and the O(h^4) remainder
     is far below 1e-6 at production resolution.
     """
-    g = u.grid
-    if g.M % 2:
-        raise ValueError("need an even node count per half line to coarsen by 2")
-    coarse = Field(GridSpec(g.L, g.M // 2), u.values[::2])
+    coarse = Field(coarse_grid(u.grid), u.values[::2])
     e_h = energy_gamma(u, gamma).total
     e_2h = energy_gamma(coarse, gamma).total
     return (4.0 * e_h - e_2h) / 3.0

@@ -28,6 +28,7 @@ __all__ = [
     "evolve",
     "instability_run",
     "seeded_perturbation",
+    "TARGET_D0",
 ]
 
 
@@ -38,6 +39,9 @@ _FP_MAX_ITER = 50
 # Linear steps solve for w + _SHIFT (1 + i) on the interior rows: 2^-900 sits far
 # above the subnormals (below 2.2e-308) and far below eps times any value read.
 _SHIFT = 2.0 ** -900
+
+# The orbit distance d0 a seeded perturbation sits at unless told otherwise.
+TARGET_D0 = 0.04
 
 
 class FixedPointError(RuntimeError):
@@ -251,7 +255,7 @@ def seeded_perturbation(
     state: StationaryState,
     grid: GridSpec,
     seed: int,
-    target_d0: float = 0.04,
+    target_d0: float = TARGET_D0,
 ) -> Field:
     """Soliton plus three random complex bumps, scaled to sit at target_d0.
 
@@ -275,13 +279,19 @@ def seeded_perturbation(
     pert[-1] = 0.0
     base = eval_state(state, grid)
 
-    def excess(s: float) -> float:
-        trial = Field(grid, base.values + s * pert)
-        return orbit_distance(trial, state.kind, state.gamma).distance - target_d0
+    def d0(s: float) -> float:
+        # The check below names the stage; numpy's overflow warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = Field(grid, base.values + s * pert)
+            d = orbit_distance(trial, state.kind, state.gamma).distance
+        if not math.isfinite(d):
+            raise RuntimeError(f"perturbation scale search: d0 is {d} at scale {s:.3g}, "
+                               f"so target_d0={target_d0:g} is out of reach")
+        return d
 
-    hi = target_d0 / (excess(1.0) + target_d0)
+    hi = target_d0 / d0(1.0)
     lo = 0.0
-    while excess(hi) < 0.0:
+    while d0(hi) < target_d0:
         lo, hi = hi, 2.0 * hi
-    scale = brentq(excess, lo, hi, rtol=1e-6)
+    scale = brentq(lambda s: d0(s) - target_d0, lo, hi, rtol=1e-6)
     return Field(grid, base.values + scale * pert)

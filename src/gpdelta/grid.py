@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,9 +107,12 @@ class TridiagonalLU:
     (the partition or "SPIKE" method: Polizzi & Sameh, Parallel Computing 32,
     2006). Each block is factored on its own, and its spike, the block's inverse
     applied to its coupling column, is computed once and cut where it falls
-    below _SPIKE_CUT of its peak. A solve sweeps block 2 on a helper thread
-    while the caller sweeps block 1, solves the 2 x 2 interface system and
-    corrects the rows the spikes reach. The split is kept only when both spikes
+    below _SPIKE_CUT of its peak. A solve puts block 2 on a queue for one
+    helper thread, started on first use, while the caller sweeps block 1; it
+    then takes the helper's result from a second queue, solves the 2 x 2
+    interface system and corrects the rows the spikes reach. A second caller
+    that finds the helper busy sweeps block 2 inline, and a forked child
+    starts a helper of its own. The split is kept only when both spikes
     reach at most a quarter of their block: Crank-Nicolson's I + i dt/2 H has
     spikes of about a hundred rows, while the flow's preconditioner
     (s I + tau H_N) has spikes that span nearly its whole block, so it keeps
@@ -133,9 +137,8 @@ class TridiagonalLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._split is not None:
             return self._split.solve(rhs)
-        x, info = lapack.zgttrs(*self._factors, rhs)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        x = np.array(rhs, dtype=complex)
+        _sweep(lapack.zgttrs, self._factors, x)
         return x
 
 
@@ -208,16 +211,20 @@ class _Split:
         m = self.m
         x = np.array(rhs, dtype=complex)
         top, bottom = x[:m], x[m:]
-        helper = _Helper.claim() if self.threaded else None
-        if helper is None:
+        if self.threaded and _busy.acquire(blocking=False):
+            try:
+                _hand_off(self.bottom, bottom)
+                try:
+                    _sweep(lapack.zgttrs, self.top, top)
+                finally:
+                    error = _results.get()
+            finally:
+                _busy.release()
+            if error is not None:
+                raise error
+        else:
             _sweep(lapack.zgttrs, self.top, top)
             _sweep(_zgttrs, self.bottom, bottom)
-        else:
-            helper.start(self.bottom, bottom)
-            try:
-                _sweep(lapack.zgttrs, self.top, top)
-            finally:
-                helper.join()
         g1, g2 = top[-1], bottom[0]
         a = (g1 - self.v[-1] * g2) / self.det
         b = (g2 - self.w[0] * g1) / self.det
@@ -226,63 +233,43 @@ class _Split:
         return x
 
 
-class _Helper:
-    """One daemon thread that sweeps block 2 of a split solve, for one caller at a time.
+def _reset_helper() -> None:
+    """The helper's channel, free and empty, with no thread started yet.
 
-    Started on the first threaded solve. A caller that finds it busy (another
-    thread is solving) sweeps block 2 inline, with the same arithmetic. A forked
-    child drops the parent's helper, whose thread it does not have.
+    _busy reserves it for one caller at a time, which starts the thread if need
+    be, puts (factors, block-2 view) on _jobs and takes None or the sweep's error
+    from _results. A forked child, without the parent's thread, starts over.
     """
-
-    _lock = threading.Lock()
-    _instance: _Helper | None = None
-
-    def __init__(self):
-        self.busy = threading.Lock()
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._task = None
-        self._error = None
-        threading.Thread(target=self._run, name="gpdelta-tridiagonal", daemon=True).start()
-
-    @classmethod
-    def claim(cls) -> _Helper | None:
-        """The helper, reserved for the caller until its join, or None while busy."""
-        with cls._lock:
-            if cls._instance is None:
-                cls._instance = cls()
-            helper = cls._instance
-        return helper if helper.busy.acquire(blocking=False) else None
-
-    @classmethod
-    def forget(cls) -> None:
-        cls._lock = threading.Lock()
-        cls._instance = None
-
-    def _run(self) -> None:
-        while True:
-            self._go.acquire()
-            try:
-                _sweep(_zgttrs, *self._task)
-            except Exception as err:  # raised again in the caller by join
-                self._error = err
-            self._done.release()
-
-    def start(self, factors: tuple, x: np.ndarray) -> None:
-        self._task = (factors, x)
-        self._go.release()
-
-    def join(self) -> None:
-        self._done.acquire()
-        error, self._error, self._task = self._error, None, None
-        self.busy.release()
-        if error is not None:
-            raise error
+    global _busy, _jobs, _results, _started
+    _busy = threading.Lock()
+    _jobs, _results = queue.SimpleQueue(), queue.SimpleQueue()
+    _started = False
 
 
+def _hand_off(factors: tuple, x: np.ndarray) -> None:
+    """Queue block 2 for the helper thread, starting it on first use."""
+    global _started
+    if not _started:
+        threading.Thread(target=_serve, name="gpdelta-tridiagonal", daemon=True).start()
+        _started = True
+    _jobs.put((factors, x))
+
+
+def _serve() -> None:
+    while True:
+        factors, x = _jobs.get()
+        error = None
+        try:
+            _sweep(_zgttrs, factors, x)
+        except Exception as err:  # raised again in the caller
+            error = err
+        del factors, x  # keep no solution array alive while waiting for the next
+        _results.put(error)
+
+
+_reset_helper()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_Helper.forget)
+    os.register_at_fork(after_in_child=_reset_helper)
 
 
 def make_grid(L: float, M: int) -> GridSpec:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (
+    coarse_grid,
     energy_values,
     extrapolated_energy,
     gradient_values,
@@ -245,14 +246,13 @@ def minimize_report(
 
     Basins are decided by orbit distance below 0.05 among the families that
     exist at this coupling; a non-converged flow or an unrecognized endpoint
-    reports basin None. The extrapolated energy coarsens by 2, so an odd M is
-    refused before any flow runs.
+    reports basin None. The extrapolated energy coarsens by 2, so a grid it
+    cannot coarsen is refused before any flow runs.
     """
     if gamma == 0.0:
         raise ValueError("minimization needs gamma != 0: at gamma = 0 translation "
                          "invariance leaves no canonical orbit")
-    if grid.M % 2:
-        raise ValueError(f"the extrapolated energy needs an even M, got M = {grid.M}")
+    coarse_grid(grid)
     starts = []
     for k in range(n_starts):
         u0 = seeded_start(grid, seed, k)

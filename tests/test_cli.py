@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,50 @@ def test_edge_coupling_failure_names_its_stage(argv, stage, tmp_path, capsys):
     assert main([*argv, "--L", "10", "--h", "0.1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"numerical failure: {stage}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("target, stage", [
+    # Sizing the first bracket as target / ((d0(1) - target) + target) cancelled
+    # d0(1) to 0 at both targets: "float division by zero".
+    ("1e17", "step to t=0.01 failed: midpoint iteration diverged"),
+    ("1e300", "perturbation scale search: d0 is inf at scale 1.61e+299, "
+              "so target_d0=1e+300 is out of reach"),
+])
+def test_a_huge_target_d0_fails_at_a_named_stage(target, stage, tmp_path, capsys):
+    assert main(["evolve", "--gamma", "1", "--perturb-seed", "1", "--L", "10", "--h", "0.1",
+                 "--dt", "0.01", "--t-end", "0.01", "--target-d0", target,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {stage}") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--gamma", "1"],
+    ["energy-table", "--gammas=1"],
+    ["minimize", "--gamma", "1"],
+])
+def test_a_grid_too_coarse_to_extrapolate_names_its_own_m(argv, tmp_path, capsys, monkeypatch):
+    # M = 2 coarsens to M = 1, which the coarse grid used to blame; minimize
+    # used to find out only after its first flow.
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran on a grid the extrapolation refuses")
+
+    monkeypatch.setattr(variational, "gradient_flow", no_flow)
+    assert main([*argv, "--L", "1", "--h", "0.5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid parameters: the extrapolated energy coarsens by 2: it needs at least 4 "
+        "intervals per half line and an even M, got M = 2\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_lambda_curve_flags_an_absorbed_point_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report, _ = run(tmp_path, "lambda-curve", "--gammas=1", "--L", "1", "--h", "0.5")
+    assert caught == [] and capsys.readouterr().err == ""
+    assert report["results"]["points"][0]["absorbed"] is True
+    assert (tmp_path / "lambda-curve" / "curve.csv").read_text().endswith(",1\n")
 
 
 def test_evolve_perturbed_soliton(tmp_path):

@@ -308,3 +308,30 @@ def test_split_solves_share_one_helper_across_threads_and_a_fork(monkeypatch):
         child.join()
         pytest.fail("the forked child hung on a split solve")
     assert child.exitcode == 0
+
+
+def test_a_failed_helper_sweep_is_raised_in_the_caller(monkeypatch):
+    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
+    bands = _cn_bands(build_hgamma(make_grid(40.0, 2000), 1.0), 2e-3)
+    rng = np.random.default_rng(11)
+    rhs = rng.normal(size=bands[1].size) + 1j * rng.normal(size=bands[1].size)
+    lu = TridiagonalLU(*bands)
+    want = lu.solve(rhs)  # the helper now runs
+    threads = threading.active_count()
+
+    sweepers = []
+
+    def failing_zgttrs(*args, **kwargs):
+        sweepers.append(threading.current_thread().name)
+        return args[-1], 3
+
+    # Block 1 is the caller's lapack.zgttrs; only the helper's block 2 fails.
+    monkeypatch.setattr(grid, "_zgttrs", failing_zgttrs)
+    with pytest.raises(RuntimeError, match=r"tridiagonal solve failed \(info=3\)"):
+        lu.solve(rhs)
+    assert sweepers == ["gpdelta-tridiagonal"]
+    assert not grid._busy.locked()
+
+    monkeypatch.setattr(grid, "_zgttrs", lapack.zgttrs)
+    assert lu.solve(rhs).tobytes() == want.tobytes()
+    assert threading.active_count() == threads
