@@ -100,9 +100,9 @@ def nonlinear_F(u: Field) -> Field:
     return Field(u.grid, nonlinear_values(u.values))
 
 
-def nonlinear_values(v: np.ndarray) -> np.ndarray:
-    """(1 - |v|^2) v on raw samples."""
-    return (1.0 - np.abs(v) ** 2) * v
+def nonlinear_values(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(1 - |v|^2) v on raw samples, written into out if given."""
+    return np.multiply(1.0 - np.abs(v) ** 2, v, out=out)
 
 
 def energy_gradient(u: Field, gamma: float) -> Field:

@@ -131,16 +131,28 @@ class _CrankNicolson:
 
     def step(self, u: np.ndarray, prev: np.ndarray, t: float) -> np.ndarray:
         """u advanced by one dt to time t; prev is u one step back. FixedPointError names t."""
-        # u with the clamped ends' coupling moved into rows 1 and n-2.
-        base = u + self._ac if self.cfg.linear else u.copy()
-        base[1] -= self._off * u[0]
-        base[-2] -= self._off * u[-1]
         if self.cfg.linear:
-            w = self._lu.solve(base)  # w + c, worked on in place
+            def fill(lo, hi, out):  # rows lo..hi-1 of u + A c, with the coupling in rows 1 and n-2
+                np.add(u[lo:hi], self._ac[lo:hi], out=out)
+                for row, end in ((1, u[0]), (u.size - 2, u[-1])):
+                    if lo <= row < hi:
+                        out[row - lo] -= self._off * end
+            w = self._lu.solve(fill)  # w + c, worked on in place
             w[1:-1] -= _SHIFT * (1.0 + 1.0j)
             w *= 2.0
             w -= u
             return w
+        base = u.copy()  # u with the clamped ends' coupling moved into rows 1 and n-2
+        base[1] -= self._off * u[0]
+        base[-2] -= self._off * u[-1]
+
+        def fill(lo, hi, out):  # rows lo..hi-1 of base + z F(w), with F zeroed on the end rows
+            nonlinear_values(w[lo:hi], out=out)
+            for row in (0, u.size - 1):
+                if lo <= row < hi:
+                    out[row - lo] = 0.0
+            np.multiply(self._z, out, out=out)
+            out += base[lo:hi]
         w = 1.5 * u - 0.5 * prev  # the midpoint extrapolated from the last two steps
         # The residual is that of u+ = 2w - u, against a scale fixed by u.
         tol = _FP_TOL * (1.0 + float(np.max(np.abs(u))))
@@ -150,9 +162,7 @@ class _CrankNicolson:
         finite = math.nan  # the last finite residual, NaN before the first
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, _FP_MAX_ITER + 1):
-                f = nonlinear_values(w)
-                f[0] = f[-1] = 0.0
-                new = self._lu.solve(base + self._z * f)
+                new = self._lu.solve(fill)
                 residual = 2.0 * float(np.max(np.abs(new - w)))
                 if not math.isfinite(residual):
                     raise FixedPointError(
@@ -294,4 +304,6 @@ def seeded_perturbation(
     while d0(hi) < target_d0:
         lo, hi = hi, 2.0 * hi
     scale = brentq(lambda s: d0(s) - target_d0, lo, hi, rtol=1e-6)
+    if not abs((d := d0(scale)) - target_d0) <= 1e-4 * target_d0:  # d0 is noise near rounding
+        raise ValueError(f"perturbation scale search: d0 {d:.3g} misses target_d0={target_d0:g}")
     return Field(grid, base.values + scale * pert)

@@ -107,17 +107,17 @@ class TridiagonalLU:
     (the partition or "SPIKE" method: Polizzi & Sameh, Parallel Computing 32,
     2006). Each block is factored on its own, and its spike, the block's inverse
     applied to its coupling column, is computed once and cut where it falls
-    below _SPIKE_CUT of its peak. A solve puts block 2 on a queue for one
-    helper thread, started on first use, while the caller sweeps block 1; it
-    then takes the helper's result from a second queue, solves the 2 x 2
-    interface system and corrects the rows the spikes reach. A second caller
-    that finds the helper busy sweeps block 2 inline, and a forked child
-    starts a helper of its own. The split is kept only when both spikes
-    reach at most a quarter of their block: Crank-Nicolson's I + i dt/2 H has
-    spikes of about a hundred rows, while the flow's preconditioner
-    (s I + tau H_N) has spikes that span nearly its whole block, so it keeps
-    the single sweep. Below the row floor the thread handoff costs more than
-    half a sweep saves.
+    below _SPIKE_CUT of its peak. A solve fills block 2's right-hand side and
+    puts it on a queue for one helper thread, started on first use; while the
+    helper sweeps, the caller fills and sweeps block 1. It then takes the
+    helper's result from a second queue, solves the 2 x 2 interface system and
+    corrects the rows the spikes reach. A second caller that finds the helper
+    busy fills both blocks and sweeps them inline, and a forked child starts a
+    helper of its own. The split is kept only when both spikes reach at most a
+    quarter of their block: Crank-Nicolson's I + i dt/2 H has spikes of about
+    a hundred rows, while the flow's preconditioner (s I + tau H_N) has spikes
+    that span nearly its whole block, so it keeps the single sweep. Below the
+    row floor the thread handoff costs more than half a sweep saves.
 
     The split's arithmetic is the same on one core, where both blocks are swept
     inline, so a result does not depend on the core count. It differs from the
@@ -134,10 +134,12 @@ class TridiagonalLU:
                 raise RuntimeError(f"tridiagonal factorization failed (info={info})")
             self._factors = (dl, d, du, du2, ipiv)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, fill) -> np.ndarray:
+        """The solution whose right-hand side fill(lo, hi, out) writes, rows lo..hi-1 into out."""
         if self._split is not None:
-            return self._split.solve(rhs)
-        x = np.array(rhs, dtype=complex)
+            return self._split.solve(fill)
+        x = np.empty(self._factors[1].size, dtype=complex)
+        fill(0, x.size, x)
         _sweep(lapack.zgttrs, self._factors, x)
         return x
 
@@ -207,14 +209,16 @@ class _Split:
             return None
         return cls(m, top, bottom, v, w, det, _usable_cores() > 1)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, fill) -> np.ndarray:
         m = self.m
-        x = np.array(rhs, dtype=complex)
+        x = np.empty(m + self.bottom[1].size, dtype=complex)
         top, bottom = x[:m], x[m:]
+        fill(m, x.size, bottom)
         if self.threaded and _busy.acquire(blocking=False):
             try:
                 _hand_off(self.bottom, bottom)
                 try:
+                    fill(0, m, top)
                     _sweep(lapack.zgttrs, self.top, top)
                 finally:
                     error = _results.get()
@@ -223,6 +227,7 @@ class _Split:
             if error is not None:
                 raise error
         else:
+            fill(0, m, top)
             _sweep(lapack.zgttrs, self.top, top)
             _sweep(_zgttrs, self.bottom, bottom)
         g1, g2 = top[-1], bottom[0]

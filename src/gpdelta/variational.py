@@ -185,7 +185,7 @@ def gradient_flow(
     d = None
     iterations = 0
     while iterations < cfg.max_iters and not grad < _GRAD_TOL:
-        pg = precond.solve(g)
+        pg = precond.solve(lambda lo, hi, out: np.copyto(out, g[lo:hi]))
         g_pg = inner(g, pg)
         beta = 0.0 if d is None else max(0.0, (g_pg - inner(g_prev, pg)) / g_pg_prev)
         d = beta * d - pg if beta > 0.0 else -pg

@@ -370,6 +370,21 @@ def test_a_huge_target_d0_fails_at_a_named_stage(target, stage, tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("target, reached", [
+    # The bumps vanish below the soliton's ulp, so the run would be unperturbed.
+    ("1e-300", "0"),
+    # d0 is rounding noise here; the root find stopped on a jump in it.
+    ("1e-12", "3.52e-13"),
+])
+def test_a_target_d0_lost_in_rounding_exits_1(target, reached, tmp_path, capsys):
+    assert main(["evolve", "--gamma", "1", "--perturb-seed", "1", "--L", "10", "--h", "0.1",
+                 "--dt", "0.01", "--t-end", "0.01", "--target-d0", target,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("invalid parameters: perturbation scale search: "
+                                       f"d0 {reached} misses target_d0={target}\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["stationary", "--gamma", "1"],
     ["energy-table", "--gammas=1"],

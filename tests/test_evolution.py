@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpdelta import evolution
+from conftest import copying
+from gpdelta import evolution, grid
 from gpdelta.energy import nonlinear_values, orbit_distance
 from gpdelta.evolution import (
     EvolveConfig,
@@ -89,9 +90,9 @@ def test_solve_count_of_a_seeded_coth_run(linear, solves, monkeypatch):
     calls = []
     solve = TridiagonalLU.solve
 
-    def counting(self, rhs):
+    def counting(self, fill):
         calls.append(1)
-        return solve(self, rhs)
+        return solve(self, fill)
 
     monkeypatch.setattr(TridiagonalLU, "solve", counting)
     g = make_grid(20.0, 1000)
@@ -108,9 +109,16 @@ def test_linear_solves_see_no_subnormals(monkeypatch):
     rhs_seen = []
     solve = TridiagonalLU.solve
 
-    def recording(self, rhs):
-        rhs_seen.append(rhs.copy())
-        return solve(self, rhs)
+    def recording(self, fill):
+        rows = []
+
+        def kept(lo, hi, out):
+            fill(lo, hi, out)
+            rows.append((lo, out.copy()))
+
+        x = solve(self, kept)
+        rhs_seen.append(np.concatenate([part for _, part in sorted(rows, key=lambda r: r[0])]))
+        return x
 
     monkeypatch.setattr(TridiagonalLU, "solve", recording)
     g = make_grid(40.0, 2000)
@@ -134,8 +142,44 @@ def test_linear_solves_see_no_subnormals(monkeypatch):
     base = u0.values.copy()
     base[1] -= z * op.off_diagonal * base[0]
     base[-2] -= z * op.off_diagonal * base[-1]
-    plain = 2.0 * solve(TridiagonalLU(off, diag, off), base) - u0.values
+    plain = 2.0 * solve(TridiagonalLU(off, diag, off), copying(base)) - u0.values
     assert np.max(np.abs(one - plain)) <= 1e-15  # measured 4.8e-271
+
+
+def _whole_rhs_step(cn, u, prev):
+    """The step with each right-hand side built whole, then copied in by its fill."""
+    base = u + cn._ac if cn.cfg.linear else u.copy()
+    base[1] -= cn._off * u[0]
+    base[-2] -= cn._off * u[-1]
+    if cn.cfg.linear:
+        w = cn._lu.solve(copying(base))
+        w[1:-1] -= evolution._SHIFT * (1.0 + 1.0j)
+        return 2.0 * w - u
+    w = 1.5 * u - 0.5 * prev
+    tol = evolution._FP_TOL * (1.0 + float(np.max(np.abs(u))))
+    for _ in range(evolution._FP_MAX_ITER):
+        f = nonlinear_values(w)
+        f[0] = f[-1] = 0.0
+        new = cn._lu.solve(copying(base + cn._z * f))
+        residual = 2.0 * float(np.max(np.abs(new - w)))
+        w = new
+        if residual <= tol:
+            return 2.0 * w - u
+    raise AssertionError("the reference step did not converge")
+
+
+@pytest.mark.parametrize("M", [20, 2000], ids=["unsplit-41", "split-4001"])
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+def test_filled_step_matches_the_whole_rhs_step_bit_for_bit(linear, M, monkeypatch):
+    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
+    g = make_grid(M / 50.0, M)
+    dt = 2e-3
+    cn = evolution._CrankNicolson(g, EvolveConfig(dt=dt, t_end=dt, gamma=1.0, linear=linear))
+    assert (cn._lu._split is not None) == (g.n_nodes >= grid._SPLIT_MIN_ROWS)
+    prev = perturbed_b1(g).values
+    u = evolve(Field(g, prev), EvolveConfig(dt=dt, t_end=dt, gamma=1.0, linear=linear)).final
+    got = cn.step(u, prev, 2 * dt)
+    assert got.tobytes() == _whole_rhs_step(cn, u, prev).tobytes()
 
 
 # ------------------------------------------------------------ invariants
