@@ -27,6 +27,7 @@ from .energy import energy_gamma, extrapolated_energy
 from .evolution import (
     TARGET_D0,
     EvolveConfig,
+    check_eps,
     evolve,
     instability_run,
     seeded_perturbation,
@@ -357,6 +358,7 @@ def _run_lambda_curve(args):
 def _run_instability(args):
     grid = _grid_from(args)
     cfg = _evolve_config(args)
+    check_eps(args.eps)
     rep = instability_eigenvalue(args.gamma, grid)
 
     results = {
@@ -369,12 +371,11 @@ def _run_instability(args):
     csvs = {}
     if rep.growth_rate is not None:
         # The fit needs 4 recorded points in [10 eps, 1e-2]; estimate them from the rate.
-        if 0.0 < 10.0 * args.eps < 1e-2:
-            points = math.log(1e-3 / args.eps) / (rep.growth_rate * cfg.dt * cfg.record_every)
-            if points < 4.0:
-                raise ValueError(f"eps {args.eps:g} at growth rate {rep.growth_rate:.6g} leaves "
-                                 f"about {points:.2g} recorded points in the fit window "
-                                 f"[10 eps, 1e-2] = [{10.0 * args.eps:g}, 1e-2]; the fit needs 4")
+        points = math.log(1e-3 / args.eps) / (rep.growth_rate * cfg.dt * cfg.record_every)
+        if points < 4.0:
+            raise ValueError(f"eps {args.eps:g} at growth rate {rep.growth_rate:.6g} leaves "
+                             f"about {points:.2g} recorded points in the fit window "
+                             f"[10 eps, 1e-2] = [{10.0 * args.eps:g}, 1e-2]; the fit needs 4")
         run = instability_run(args.eps, Field(grid, rep.direction), cfg)
         rel = None
         if run.rate is not None:

@@ -25,6 +25,7 @@ __all__ = [
     "Trajectory",
     "FixedPointError",
     "InstabilityResult",
+    "check_eps",
     "evolve",
     "instability_run",
     "seeded_perturbation",
@@ -36,8 +37,8 @@ __all__ = [
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 50
 
-# Linear steps solve for w + _SHIFT (1 + i) on the interior rows: 2^-900 sits far
-# above the subnormals (below 2.2e-308) and far below eps times any value read.
+# Linear steps solve for w + _SHIFT (1 + i): 2^-900 sits far above the subnormals
+# (below 2.2e-308) and far below eps times any value read.
 _SHIFT = 2.0 ** -900
 
 # The orbit distance d0 a seeded perturbation sits at unless told otherwise.
@@ -98,67 +99,53 @@ class Trajectory:
 
 
 class _CrankNicolson:
-    """Prefactorized midpoint solve for a fixed (grid, dt, gamma).
+    """Prefactorized midpoint solve on the n - 2 interior samples, the ends held fixed.
 
-    Rows and columns 0 and n-1 of the factored I + i dt/2 H are identity; `step`
-    moves the ends' coupling into the right-hand side, so no pivot mixes them in.
-    With F zeroed there, w keeps u's end samples bit for bit, and so does 2w - u,
-    since 2x and 2x - x are exact. Elsewhere this is the plain midpoint rule.
+    `step` takes and returns interior arrays. The clamped ends are given once;
+    their coupling through I + i dt/2 H is a constant on the first and last rows.
 
-    A linear step solves for w + c, with c = _SHIFT (1 + i) on the interior rows.
-    A decaying packet's tails underflow, and the solve's forward sweep would carry
-    them down to the smallest subnormal, where every operation is many times
-    slower; shifted, no sweep works on a value near that range. Both parts of c
-    are nonzero, since each underflows on its own. c is 0 on the end rows, where
-    A c is then 0, so the end samples stay bit for bit.
+    A linear step solves for w + c, c = _SHIFT (1 + i). A decaying packet's tails
+    underflow in each part on its own; unshifted, the sweep would carry them down to
+    the subnormals, where every operation is many times slower.
     """
 
-    def __init__(self, grid: GridSpec, cfg: EvolveConfig):
+    def __init__(self, grid: GridSpec, cfg: EvolveConfig, ends: np.ndarray):
         self.cfg = cfg
         op = build_hgamma(grid, cfg.gamma)
         self._z = 0.5j * cfg.dt
-        self._off = self._z * op.off_diagonal
-        diag = np.ones(grid.n_nodes, dtype=complex)
-        diag[1:-1] += self._z * op.diagonal[1:-1]
-        off = np.full(grid.n_nodes - 1, self._off)
-        off[0] = off[-1] = 0.0
-        self._lu = TridiagonalLU(off, diag, off)
-        c = np.full(grid.n_nodes, _SHIFT * (1.0 + 1.0j))
-        c[0] = c[-1] = 0.0
-        self._ac = diag * c  # the band product A c
-        self._ac[:-1] += off * c[1:]
-        self._ac[1:] += off * c[:-1]
+        off = self._z * op.off_diagonal
+        diag = 1.0 + self._z * op.diagonal[1:-1]
+        bands = np.full(diag.size - 1, off)
+        self._lu = TridiagonalLU(bands, diag, bands)
+        self._coupling = (off * ends[0], off * ends[-1])  # the ends' terms, first and last row
+        self._end_scale = float(np.max(np.abs(ends)))  # their share of max|u| in the tolerance
+        c = _SHIFT * (1.0 + 1.0j)
+        self._rhs = diag * c  # A c less the coupling: a linear right-hand side's constant part
+        self._rhs[:-1] += bands * c
+        self._rhs[1:] += bands * c
+        self._rhs[[0, -1]] -= self._coupling
 
     def step(self, u: np.ndarray, prev: np.ndarray, t: float) -> np.ndarray:
         """u advanced by one dt to time t; prev is u one step back. FixedPointError names t."""
         if self.cfg.linear:
-            def fill(lo, hi, out):  # rows lo..hi-1 of u + A c, with the coupling in rows 1 and n-2
-                np.add(u[lo:hi], self._ac[lo:hi], out=out)
-                for row, end in ((1, u[0]), (u.size - 2, u[-1])):
-                    if lo <= row < hi:
-                        out[row - lo] -= self._off * end
-            w = self._lu.solve(fill)  # w + c, worked on in place
-            w[1:-1] -= _SHIFT * (1.0 + 1.0j)
+            w = self._lu.solve(lambda lo, hi, out: np.add(u[lo:hi], self._rhs[lo:hi], out=out))
+            w -= _SHIFT * (1.0 + 1.0j)  # w + c, worked on in place
             w *= 2.0
             w -= u
             return w
-        base = u.copy()  # u with the clamped ends' coupling moved into rows 1 and n-2
-        base[1] -= self._off * u[0]
-        base[-2] -= self._off * u[-1]
+        base = u.copy()
+        base[0] -= self._coupling[0]
+        base[-1] -= self._coupling[1]
 
-        def fill(lo, hi, out):  # rows lo..hi-1 of base + z F(w), with F zeroed on the end rows
+        def fill(lo, hi, out):  # rows lo..hi-1 of base + z F(w)
             nonlinear_values(w[lo:hi], out=out)
-            for row in (0, u.size - 1):
-                if lo <= row < hi:
-                    out[row - lo] = 0.0
             np.multiply(self._z, out, out=out)
             out += base[lo:hi]
         w = 1.5 * u - 0.5 * prev  # the midpoint extrapolated from the last two steps
-        # The residual is that of u+ = 2w - u, against a scale fixed by u.
-        tol = _FP_TOL * (1.0 + float(np.max(np.abs(u))))
-        # A divergent iterate overflows before the residual test catches it;
-        # that is the expected failure mode, reported at the first non-finite
-        # residual, not a warning.
+        # The residual is that of u+ = 2w - u, against a scale fixed by u, ends included.
+        tol = _FP_TOL * (1.0 + max(float(np.max(np.abs(u))), self._end_scale))
+        # A divergent iterate overflows before the residual test sees it: the expected
+        # failure, reported at the first non-finite residual, not as a warning.
         finite = math.nan  # the last finite residual, NaN before the first
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, _FP_MAX_ITER + 1):
@@ -182,26 +169,28 @@ def evolve(
     cfg: EvolveConfig,
     orbit_target: StationaryState | None = None,
 ) -> Trajectory:
-    """Step u0 to t_end and return the final field with the recorded traces.
+    """Step u0, its end samples held, to t_end; return the final field and the traces.
 
     Energy (and, with orbit_target, the orbit distance) is evaluated at t = 0,
     every record_every steps and at the last step, as the run passes them. A
     non-finite value at t = 0 is a RuntimeError before any step.
     """
     grid = u0.grid
-    stepper = _CrankNicolson(grid, cfg)
+    full = u0.values.copy()  # the field with its ends, refreshed at each record
+    stepper = _CrankNicolson(grid, cfg, full[[0, -1]])
     n_steps = int(round(cfg.t_end / cfg.dt))
 
     times, energies, orbit = [], [], []
 
     def record(k: int, u: np.ndarray) -> None:
         times.append(k * cfg.dt)
-        field = Field(grid, u)
+        full[1:-1] = u
+        field = Field(grid, full)
         energies.append(energy_gamma(field, cfg.gamma).total)
         if orbit_target is not None:
             orbit.append(orbit_distance(field, orbit_target.kind, orbit_target.gamma).distance)
 
-    u = prev = u0.values.copy()
+    u = prev = full[1:-1].copy()
     # The check below names the stage; numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, u)
@@ -214,7 +203,7 @@ def evolve(
             record(k, u)
 
     orbit_trace = np.array(orbit) if orbit_target is not None else None
-    return Trajectory(np.asarray(times), np.array(energies), orbit_trace, u)
+    return Trajectory(np.asarray(times), np.array(energies), orbit_trace, full)
 
 
 @dataclass(frozen=True)
@@ -222,6 +211,15 @@ class InstabilityResult:
     trajectory: Trajectory
     rate: float | None
     window_points: int
+
+
+def check_eps(eps: float) -> None:
+    """Refuse an instability eps outside (0, 1e-3), where the fit window is empty."""
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps:g}")
+    if not 10.0 * eps < 1e-2:
+        raise ValueError(f"eps must be below 1e-3, got {eps:g}: the fit window "
+                         f"[10 eps, 1e-2] = [{10.0 * eps:g}, 1e-2] is empty")
 
 
 def instability_run(eps: float, direction: Field, cfg: EvolveConfig) -> InstabilityResult:
@@ -234,17 +232,12 @@ def instability_run(eps: float, direction: Field, cfg: EvolveConfig) -> Instabil
     """
     if cfg.gamma <= 0.0:
         raise ValueError("instability runs target the repulsive case gamma > 0")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps:g}")
-    if not 10.0 * eps < 1e-2:
-        raise ValueError(f"eps must be below 1e-3, got {eps:g}: the fit window "
-                         f"[10 eps, 1e-2] = [{10.0 * eps:g}, 1e-2] is empty")
+    check_eps(eps)
     norm = float(np.sqrt(np.sum(np.abs(direction.values) ** 2) * direction.grid.h))
     if not np.isclose(norm, 1.0, rtol=1e-8):
         raise ValueError("direction must be normalized")
     kink = StationaryState(StateKind.KINK, cfg.gamma)
-    base = eval_state(kink, direction.grid)
-    u0 = Field(direction.grid, base.values + eps * direction.values)
+    u0 = Field(direction.grid, eval_state(kink, direction.grid).values + eps * direction.values)
     traj = evolve(u0, cfg, orbit_target=kink)
 
     d = traj.orbit_trace
@@ -281,12 +274,10 @@ def seeded_perturbation(
     centers = rng.uniform(-5.0, 5.0, 3)
     widths = rng.uniform(0.6, 2.0, 3)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    x = grid.x
     pert = np.zeros(grid.n_nodes, dtype=complex)
     for c, w, a in zip(centers, widths, amps):
-        pert += a * np.exp(-(((x - c) / w) ** 2))
-    pert[0] = 0.0  # exact zeros: the clamped rows hold endpoints forever
-    pert[-1] = 0.0
+        pert += a * np.exp(-(((grid.x - c) / w) ** 2))
+    pert[[0, -1]] = 0.0  # exact zeros: the held ends are the soliton's
     base = eval_state(state, grid)
 
     def d0(s: float) -> float:

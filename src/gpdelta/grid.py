@@ -85,9 +85,9 @@ class DeltaOperator:
         return self.diagonal[1:-1] * v[1:-1] + self.off_diagonal * (v[:-2] + v[2:])
 
 
-# The smallest matrix tried as two blocks (a handoff to the helper costs about
-# 17 us, a sweep about 14 ns per row), and the spike cut-off.
-_SPLIT_MIN_ROWS = 3000
+# The smallest matrix tried as two blocks (a handoff costs about 17 us, a sweep about
+# 14 ns per row; Crank-Nicolson's n - 2 rows on a 3001-node grid), and the spike cut-off.
+_SPLIT_MIN_ROWS = 2999
 _SPIKE_CUT = 2.0 ** -60
 
 # Bound once at import. The caller's own sweep and every factorization look
@@ -100,8 +100,8 @@ _zgttrs = lapack.zgttrs
 class TridiagonalLU:
     """LU factors of a complex tridiagonal matrix, kept for repeated solves.
 
-    Callers build the bands, end rows included. The matrix is factored once
-    (LAPACK zgttrf) and each solve is a zgttrs sweep, or two half-size ones.
+    Callers build the three bands. The matrix is factored once (LAPACK zgttrf)
+    and each solve is a zgttrs sweep, or two half-size ones.
 
     A matrix of at least _SPLIT_MIN_ROWS rows is tried as two diagonal blocks
     (the partition or "SPIKE" method: Polizzi & Sameh, Parallel Computing 32,

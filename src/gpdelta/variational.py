@@ -184,20 +184,25 @@ def gradient_flow(
     g, grad = _gradient(op, u, weights)
     d = None
     iterations = 0
-    while iterations < cfg.max_iters and not grad < _GRAD_TOL:
-        pg = precond.solve(lambda lo, hi, out: np.copyto(out, g[lo:hi]))
-        g_pg = inner(g, pg)
-        beta = 0.0 if d is None else max(0.0, (g_pg - inner(g_prev, pg)) / g_pg_prev)
-        d = beta * d - pg if beta > 0.0 else -pg
-        # The real critical point of the quartic with the lowest energy.
-        coef = _energy_quartic(u, d, grid, gamma, weights)
-        roots = np.roots(np.polyder(coef)).real
-        u = u + roots[np.argmin(np.polyval(coef, roots))] * d
-        if odd_projection:
-            u = _odd_part(u)
-        iterations += 1
-        g_prev, g_pg_prev = g, g_pg
-        g, grad = _gradient(op, u, weights)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while iterations < cfg.max_iters and not grad < _GRAD_TOL:
+            pg = precond.solve(lambda lo, hi, out: np.copyto(out, g[lo:hi]))
+            g_pg = inner(g, pg)
+            beta = 0.0 if d is None else max(0.0, (g_pg - inner(g_prev, pg)) / g_pg_prev)
+            d = beta * d - pg if beta > 0.0 else -pg
+            # The real critical point of the quartic with the lowest energy.
+            coef = _energy_quartic(u, d, grid, gamma, weights)
+            try:  # a flow that leaves the doubles fails here, by name, with numpy kept quiet
+                roots = np.roots(np.polyder(coef)).real
+                u = u + roots[np.argmin(np.polyval(coef, roots))] * d
+            except ValueError as err:  # LinAlgError on a non-finite quartic; no real root
+                raise RuntimeError(f"gradient-flow line search: no finite minimum at "
+                                   f"iteration {iterations + 1}, gamma={gamma:g}") from err
+            if odd_projection:
+                u = _odd_part(u)
+            iterations += 1
+            g_prev, g_pg_prev = g, g_pg
+            g, grad = _gradient(op, u, weights)
 
     energy = energy_values(u, grid, gamma, weights).total
     return FlowResult(Field(grid, u), iterations, energy, grad < _GRAD_TOL, grad)

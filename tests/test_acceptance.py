@@ -233,6 +233,7 @@ def test_criterion_07_linear_instability_rate(tmp_path):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_08_orbital_stability_sweeps(tmp_path):
     t0 = time.perf_counter()
     worst_sup = 0.0

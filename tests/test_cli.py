@@ -79,7 +79,12 @@ def test_invalid_parameters_exit_1(tmp_path, capsys, monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the inputs were checked")
 
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectral solve ran before eps was checked")
+
     monkeypatch.setattr(variational, "gradient_flow", no_flow)
+    # Every instability case here is refused before its spectral solve.
+    monkeypatch.setattr(cli, "instability_eigenvalue", no_spectrum)
     assert main(["minimize", "--gamma", "0", "--out", str(tmp_path)]) == 1
     assert "gamma != 0" in capsys.readouterr().err
     assert main(["stationary", "--gamma", "1", "--L", "2", "--h", "3",
@@ -109,6 +114,13 @@ def test_invalid_parameters_exit_1(tmp_path, capsys, monkeypatch):
                  "--t-end", "1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "eps must be below 1e-3, got 0.002" in err and "[10 eps, 1e-2]" in err
+    # eps went unchecked where no growing mode was found, as at gamma = 30 on this box.
+    for eps, message in (("5", "eps must be below 1e-3, got 5"),
+                         ("0", "eps must be positive, got 0"),
+                         ("-1", "eps must be positive, got -1")):
+        assert main(["instability", "--gamma", "30", "--L", "10", "--h", "0.1", "--eps", eps,
+                     "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
     # 10.5 steps used to run 10 and report t_end 0.01 beside a recorded 0.0105.
     assert main(["evolve", "--gamma", "1", "--L", "10", "--h", "0.1", "--t-end", "0.0105",
                  "--dt", "0.001", "--out", str(tmp_path)]) == 1
@@ -342,6 +354,16 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, key, tmp_path, capsy
                  "gradient-flow preconditioner: the shift 1 + tau gamma^2/4 overflows at "
                  "gamma=-1e+300, tau=0.9", id="minimize",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # The quartic along the first direction overflows in np.roots, which raised
+    # numpy's LinAlgError, a ValueError, after an overflow warning: exit 1.
+    pytest.param(["minimize", "--gamma=-1e77", "--n-starts", "1"],
+                 "gradient-flow line search: no finite minimum at iteration 1, gamma=-1e+77",
+                 id="minimize-quartic-overflow"),
+    # The quartic's leading terms underflow to 0, so it has no critical point:
+    # "attempt to get argmin of an empty sequence", exit 1.
+    pytest.param(["minimize", "--gamma=-1e120", "--n-starts", "1"],
+                 "gradient-flow line search: no finite minimum at iteration 3, gamma=-1e+120",
+                 id="minimize-no-critical-point"),
     # The state's energy is NaN before any step is taken; no numpy warning
     # reaches the user ahead of the message.
     pytest.param(["evolve", "--gamma=-1e200", "--state", "even-coth", "--dt", "0.01",

@@ -146,13 +146,30 @@ def test_linear_solves_see_no_subnormals(monkeypatch):
     assert np.max(np.abs(one - plain)) <= 1e-15  # measured 4.8e-271
 
 
-def _whole_rhs_step(cn, u, prev):
-    """The step with each right-hand side built whole, then copied in by its fill."""
-    base = u + cn._ac if cn.cfg.linear else u.copy()
-    base[1] -= cn._off * u[0]
-    base[-2] -= cn._off * u[-1]
-    if cn.cfg.linear:
-        w = cn._lu.solve(copying(base))
+def _whole_rhs_step(g, cfg, u, prev):
+    """The step on all n samples: identity end rows, each right-hand side built whole.
+
+    The ends' coupling is moved into rows 1 and n-2, and F is zeroed on the end
+    rows, so rows 0 and n-1 of the solution are u's end samples.
+    """
+    op, z = build_hgamma(g, cfg.gamma), 0.5j * cfg.dt
+    off = np.full(g.n_nodes - 1, z * op.off_diagonal)
+    off[0] = off[-1] = 0.0
+    diag = np.ones(g.n_nodes, dtype=complex)
+    diag[1:-1] += z * op.diagonal[1:-1]
+    lu = TridiagonalLU(off, diag, off)
+    base = u.copy()
+    if cfg.linear:
+        c = np.full(g.n_nodes, evolution._SHIFT * (1.0 + 1.0j))
+        c[0] = c[-1] = 0.0
+        ac = diag * c
+        ac[:-1] += off * c[1:]
+        ac[1:] += off * c[:-1]
+        base += ac
+    base[1] -= z * op.off_diagonal * u[0]
+    base[-2] -= z * op.off_diagonal * u[-1]
+    if cfg.linear:
+        w = lu.solve(copying(base))
         w[1:-1] -= evolution._SHIFT * (1.0 + 1.0j)
         return 2.0 * w - u
     w = 1.5 * u - 0.5 * prev
@@ -160,7 +177,7 @@ def _whole_rhs_step(cn, u, prev):
     for _ in range(evolution._FP_MAX_ITER):
         f = nonlinear_values(w)
         f[0] = f[-1] = 0.0
-        new = cn._lu.solve(copying(base + cn._z * f))
+        new = lu.solve(copying(base + z * f))
         residual = 2.0 * float(np.max(np.abs(new - w)))
         w = new
         if residual <= tol:
@@ -171,15 +188,18 @@ def _whole_rhs_step(cn, u, prev):
 @pytest.mark.parametrize("M", [20, 2000], ids=["unsplit-41", "split-4001"])
 @pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
 def test_filled_step_matches_the_whole_rhs_step_bit_for_bit(linear, M, monkeypatch):
+    # The interior step, its ends given once, against the step on all n samples.
     monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
     g = make_grid(M / 50.0, M)
     dt = 2e-3
-    cn = evolution._CrankNicolson(g, EvolveConfig(dt=dt, t_end=dt, gamma=1.0, linear=linear))
-    assert (cn._lu._split is not None) == (g.n_nodes >= grid._SPLIT_MIN_ROWS)
+    cfg = EvolveConfig(dt=dt, t_end=dt, gamma=1.0, linear=linear)
     prev = perturbed_b1(g).values
-    u = evolve(Field(g, prev), EvolveConfig(dt=dt, t_end=dt, gamma=1.0, linear=linear)).final
-    got = cn.step(u, prev, 2 * dt)
-    assert got.tobytes() == _whole_rhs_step(cn, u, prev).tobytes()
+    cn = evolution._CrankNicolson(g, cfg, prev[[0, -1]])
+    assert cn._lu._split is not None if M == 2000 else cn._lu._split is None
+    u = evolve(Field(g, prev), cfg).final
+    want = _whole_rhs_step(g, cfg, u, prev)
+    assert want[[0, -1]].tobytes() == u[[0, -1]].tobytes()
+    assert cn.step(u[1:-1], prev[1:-1], 2 * dt).tobytes() == want[1:-1].tobytes()
 
 
 # ------------------------------------------------------------ invariants

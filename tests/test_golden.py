@@ -69,36 +69,29 @@ def _first_move(old, new, key=""):
     return next(filter(None, (_first_move(a, b, k) for k, a, b in pairs)), None)
 
 
-def _check(argv, out: Path) -> None:
-    pins = json.loads(PINS.read_text())
-    pinned = pins["runs"][" ".join(argv)]
-    files, results = _outputs(out, argv)
-    if files == pinned["sha256"]:
-        return
-    where = [f"{name}: {pinned['sha256'].get(name)} -> {files.get(name)}"
-             for name in sorted(set(files) | set(pinned["sha256"]))
-             if files.get(name) != pinned["sha256"].get(name)]
-    moved = _first_move(pinned["results"], results)
-    if moved is not None:
-        where.insert(0, f"first moved key {moved[0]}: {moved[1]!r} -> {moved[2]!r}")
-    pytest.fail(f"{' '.join(argv)}: outputs moved from their pins ({'; '.join(where)}); pinned "
-                f"under {pins['versions']}, run under {_versions()}", pytrace=False)
-
-
 def test_pins_were_written_under_this_numpy_and_scipy():
     pinned = json.loads(PINS.read_text())["versions"]
     assert pinned == _versions(), f"pinned under {pinned}, run under {_versions()}"
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=[" ".join(r) for r in RUNS])
-def test_outputs_match_their_pins(argv, tmp_path, monkeypatch):
-    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)  # the helper sweeps block 2
-    _check(argv, tmp_path)
-
-
-def test_the_split_run_on_one_core_matches_the_same_pin(tmp_path, monkeypatch):
-    monkeypatch.setattr(grid, "_usable_cores", lambda: 1)  # both blocks swept inline
-    _check(SPLIT_RUN, tmp_path)
+# Each run with the helper thread sweeping block 2, and the split run again with
+# both blocks swept inline on one core, against the same pin.
+@pytest.mark.parametrize("argv, cores", [(r, 2) for r in RUNS] + [(SPLIT_RUN, 1)],
+                         ids=[" ".join(r) for r in RUNS] + ["one core: " + " ".join(SPLIT_RUN)])
+def test_outputs_match_their_pins(argv, cores, tmp_path, monkeypatch):
+    monkeypatch.setattr(grid, "_usable_cores", lambda: cores)
+    pins = json.loads(PINS.read_text())
+    pinned = pins["runs"][" ".join(argv)]
+    files, results = _outputs(tmp_path, argv)
+    if files == pinned["sha256"]:
+        return
+    names = sorted(set(files) | set(pinned["sha256"]))
+    where = [f"files {', '.join(n for n in names if files.get(n) != pinned['sha256'].get(n))}"]
+    moved = _first_move(pinned["results"], results)
+    if moved is not None:
+        where.insert(0, f"first moved key {moved[0]}: {moved[1]!r} -> {moved[2]!r}")
+    pytest.fail(f"{' '.join(argv)}: outputs moved from their pins ({'; '.join(where)}); pinned "
+                f"under {pins['versions']}, run under {_versions()}", pytrace=False)
 
 
 def _repin() -> None:

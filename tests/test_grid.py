@@ -182,7 +182,11 @@ def _direct_sweep(bands, rhs):
 
 
 def _cn_bands(op, dt):
-    """Crank-Nicolson: I + i dt/2 H inside, identity end rows."""
+    """I + i dt/2 H with identity end rows.
+
+    Crank-Nicolson factors the interior rows alone; these two decoupled rows
+    border that matrix and leave its factors and its split point as they are.
+    """
     n = op.grid.n_nodes
     z = 0.5j * dt
     diag = np.ones(n, dtype=complex)
