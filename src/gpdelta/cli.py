@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +46,7 @@ from .variational import FlowConfig, minimize_report
 
 GAMMA_PANEL = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)
 
-_STATE_NAMES = {
-    "kink": StateKind.KINK,
-    "even-tanh": StateKind.EVEN_TANH,
-    "even-coth": StateKind.EVEN_COTH,
-}
+_STATE_NAMES = {kind.value.replace("_", "-"): kind for kind in StateKind}
 
 
 class _UsageError(Exception):
@@ -146,6 +141,15 @@ def _parse_gammas(text: str) -> list[float]:
     return vals
 
 
+def _energies(state: StationaryState, grid: GridSpec):
+    """The state's samples and its closed-form, discrete and extrapolated energies."""
+    u = eval_state(state, grid)
+    # Past the closed forms' range these overflow; main names the non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (u, closed_form_energy(state), energy_gamma(u, state.gamma).total,
+                extrapolated_energy(u, state.gamma))
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -159,14 +163,13 @@ def _run_stationary(args):
     results = {}
     for kind in families(args.gamma):
         state = StationaryState(kind, args.gamma)
-        u = eval_state(state, grid)
-        name = kind.name.lower()
-        header += [f"{name}_re", f"{name}_im"]
+        u, exact, discrete, rich = _energies(state, grid)
+        header += [f"{kind.value}_re", f"{kind.value}_im"]
         cols += [u.values.real, u.values.imag]
-        results[name] = {
-            "energy_closed_form": _num(closed_form_energy(state), "closed_form"),
-            "energy_discrete": _num(energy_gamma(u, args.gamma).total, "discrete"),
-            "energy_extrapolated": _num(extrapolated_energy(u, args.gamma), "discrete"),
+        results[kind.value] = {
+            "energy_closed_form": _num(exact, "closed_form"),
+            "energy_discrete": _num(discrete, "discrete"),
+            "energy_extrapolated": _num(rich, "discrete"),
             "origin_value": _num(origin_value(state), "closed_form"),
         }
     rows = list(zip(*cols))
@@ -182,14 +185,8 @@ def _run_energy_table(args):
     rows = []
     for gamma in gammas:
         for kind in families(gamma):
-            state = StationaryState(kind, gamma)
-            u = eval_state(state, grid)
-            exact = closed_form_energy(state)
-            rich = extrapolated_energy(u, gamma)
-            rows.append((
-                gamma, kind.name.lower(), exact,
-                energy_gamma(u, gamma).total, rich, abs(rich - exact),
-            ))
+            _, exact, discrete, rich = _energies(StationaryState(kind, gamma), grid)
+            rows.append((gamma, kind.value, exact, discrete, rich, abs(rich - exact)))
     worst = max(r[5] for r in rows)
     results = {
         "n_rows": len(rows),
@@ -310,7 +307,7 @@ def _run_stability_sweep(args):
         drift /= abs(tr.energy_trace[0])
         rows.append((seed, tr.orbit_trace[0], float(np.max(tr.orbit_trace)), float(drift)))
     results = {
-        "family": kind.name.lower(),
+        "family": kind.value,
         "n_seeds": args.n_seeds,
         "target_d0": _num(args.target_d0, "discrete"),
         "max_sup_d0": _num(max(r[2] for r in rows), "discrete"),
@@ -338,10 +335,7 @@ def _run_spectrum(args):
 def _run_lambda_curve(args):
     grid = _grid_from(args)
     gammas = _parse_gammas(args.gammas)
-    # curve.csv and report.json flag an absorbed point; the library's warning would repeat it.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "lowest amplitude-block eigenvalue", UserWarning)
-        pts = lambda_curve(gammas, grid)
+    pts = lambda_curve(gammas, grid)
     slope = float(np.polyfit(pts[:, 0], pts[:, 1], 1)[0]) if len(set(gammas)) > 1 else None
     rows = [(g, lam, 1 if lam > ABSORBED_ABOVE else 0) for g, lam in pts]
     results = {
@@ -399,17 +393,14 @@ def _run_minimize(args):
     starts = minimize_report(args.gamma, grid, n_starts=args.n_starts,
                              cfg=FlowConfig(max_iters=args.max_iters), odd=args.odd,
                              seed=args.seed)
-    basins = {}
-    for s in starts:
-        key = s.basin.name.lower() if s.basin is not None else "none"
-        basins[key] = basins.get(key, 0) + 1
+    labels = [s.basin.value if s.basin is not None else None for s in starts]
+    basins = {label or "none": labels.count(label) for label in labels}
     rows = [
         (
             s.index, s.converged, s.iterations, s.energy, s.energy_extrapolated,
-            s.basin.name.lower() if s.basin is not None else "none",
-            s.distance if np.isfinite(s.distance) else float("nan"),
+            label or "none", s.distance if np.isfinite(s.distance) else float("nan"),
         )
-        for s in starts
+        for s, label in zip(starts, labels)
     ]
     results = {
         "odd": args.odd,
@@ -426,9 +417,9 @@ def _run_minimize(args):
                 "iterations": s.iterations,
                 "energy": _num(s.energy, "discrete"),
                 "energy_extrapolated": _num(s.energy_extrapolated, "discrete"),
-                "basin": s.basin.name.lower() if s.basin is not None else None,
+                "basin": label,
             }
-            for s in starts
+            for s, label in zip(starts, labels)
         ],
     }
     header = ["index", "converged", "iterations", "energy",

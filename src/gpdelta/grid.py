@@ -36,6 +36,9 @@ class GridSpec:
             raise ValueError(f"half length must be positive, got L={self.L}")
         if self.M < 2:
             raise ValueError(f"need at least two intervals per half line, got M={self.M}")
+        # Within these limits 2/h^2 and every x^2 are finite, nonzero doubles.
+        if not (1e-150 <= self.h and self.L <= 1e150):
+            raise ValueError(f"need 1e-150 <= h < L <= 1e150, got h={self.h:g}, L={self.L:g}")
 
     @property
     def h(self) -> float:

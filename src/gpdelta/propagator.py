@@ -100,11 +100,17 @@ def w_erfc(z):
 
 
 def _gamma_closed_form(t: float, a, gamma: float):
-    """Unified closed form of Gamma(t,x,y) for t > 0, any gamma != 0; a = |x|+|y|."""
+    """Unified closed form of Gamma(t,x,y), any t != 0 and gamma != 0; a = |x|+|y|.
+
+    Evaluated at |t| and conjugated for t < 0: Gamma(-t,x,y) = conj(Gamma(t,x,y)).
+    """
     aa = np.asarray(a, dtype=float)
-    rt = math.sqrt(t)
-    arg = _EIPI4 * (aa + 1j * gamma * t) / (2.0 * rt)
-    out = -(gamma / 4.0) * np.exp(1j * aa * aa / (4.0 * t)) * w_erfc(arg)
+    at = abs(t)
+    rt = math.sqrt(at)
+    arg = _EIPI4 * (aa + 1j * gamma * at) / (2.0 * rt)
+    out = -(gamma / 4.0) * np.exp(1j * aa * aa / (4.0 * at)) * w_erfc(arg)
+    if t < 0.0:
+        out = np.conj(out)
     return out if out.ndim else complex(out)
 
 
@@ -193,14 +199,13 @@ def _descent(t: float, c: float, s0: float, ag: float, side: float) -> complex:
 
 
 def gamma_kernel(q: KernelQuery) -> complex:
-    """Correction kernel Gamma(t,x,y) by the unified closed form, conjugated for t < 0.
+    """Correction kernel Gamma(t,x,y) by the unified closed form.
 
     No quadrature runs, so every folded distance a = |x| + |y| is answered.
     """
     if q.gamma == 0.0:
         return 0.0j
-    value = _gamma_closed_form(abs(q.t), abs(q.x) + abs(q.y), q.gamma)
-    return value.conjugate() if q.t < 0.0 else value
+    return _gamma_closed_form(q.t, abs(q.x) + abs(q.y), q.gamma)
 
 
 def attractive_split(q: KernelQuery) -> tuple[complex, complex]:
@@ -299,9 +304,7 @@ def apply_propagator(u0: Field, t: float, gamma: float, boundary_tol: float = 1e
         # Gamma(t,x,y) depends on |x| + |y| only: fold the source about the
         # origin, take one Hankel product on the half line (a convolution
         # with the reversed source), mirror the result.
-        gvals = _gamma_closed_form(abs(t), np.arange(2 * m + 1) * h, gamma)
-        if t < 0.0:
-            gvals = np.conj(gvals)
+        gvals = _gamma_closed_form(t, np.arange(2 * m + 1) * h, gamma)
         folded = np.empty(m + 1, dtype=complex)
         folded[0] = wv[m]
         folded[1:] = wv[m + 1 :] + wv[m - 1 :: -1]

@@ -25,8 +25,6 @@ both cases mu_min = Re(-lambda^2) is the lowest eigenvalue of P M.
 
 from __future__ import annotations
 
-import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,6 @@ from scipy.sparse.linalg import eigs
 from .grid import GridSpec, build_hgamma
 
 __all__ = [
-    "Which",
     "SpectralReport",
     "GrowingMode",
     "build_lpm",
@@ -53,11 +50,6 @@ EDGE_LPLUS = 2.0
 # A lowest amplitude-block eigenvalue above this sits at the essential edge.
 ABSORBED_ABOVE = EDGE_LPLUS - 1e-3
 Bands = tuple[np.ndarray, np.ndarray]  # (diagonal, off-diagonal), symmetric
-
-
-class Which(enum.Enum):
-    LMINUS = "lminus"
-    LPLUS = "lplus"
 
 
 @dataclass(frozen=True)
@@ -85,14 +77,12 @@ class GrowingMode:
     direction: np.ndarray | None
 
 
-def build_lpm(grid: GridSpec, gamma: float, which: Which) -> Bands:
-    """Interior bands (diagonal, off) of H_gamma plus the block's potential."""
-    if not isinstance(which, Which):
-        raise ValueError(f"unknown operator tag: {which!r}")
+def build_lpm(grid: GridSpec, gamma: float) -> tuple[Bands, Bands]:
+    """Interior bands (diagonal, off) of the phase block M and the amplitude block P."""
     op = build_hgamma(grid, gamma)
     sech2 = 1.0 / np.cosh(grid.x[1:-1] / _SQRT2) ** 2
-    potential = -sech2 if which is Which.LMINUS else 2.0 - 3.0 * sech2
-    return op.diagonal[1:-1] + potential, np.full(sech2.size - 1, op.off_diagonal)
+    d, off = op.diagonal[1:-1], np.full(sech2.size - 1, op.off_diagonal)
+    return (d + -sech2, off), (d + (2.0 - 3.0 * sech2), off)
 
 
 def eigs_below(bands: Bands, edge: float) -> np.ndarray:
@@ -118,20 +108,14 @@ def lambda_curve(gammas, grid: GridSpec) -> np.ndarray:
     """Track the lowest eigenvalue of the amplitude block along gamma.
 
     Near gamma = 0 this is the perturbed kernel eigenvalue; once it climbs
-    into the essential spectrum the lowest value saturates at the Dirichlet
-    edge artifact, which is reported with a warning rather than hidden.
+    into the essential spectrum the lowest value saturates near the edge 2.
+    A value above ABSORBED_ABOVE is that Dirichlet-edge artifact, not a
+    discrete eigenvalue: the caller flags it.
     """
     gs = np.atleast_1d(np.asarray(gammas, dtype=float))
     out = np.empty((gs.size, 2))
     for i, g in enumerate(gs):
-        val = _lowest_eigenvalue(build_lpm(grid, g, Which.LPLUS))
-        if val > ABSORBED_ABOVE:
-            warnings.warn(
-                f"lowest amplitude-block eigenvalue {val:.6f} at gamma={g:g} "
-                "sits at the essential edge; the discrete eigenvalue is absorbed",
-                stacklevel=2,
-            )
-        out[i] = (g, val)
+        out[i] = (g, _lowest_eigenvalue(build_lpm(grid, g)[1]))
     return out
 
 
@@ -142,8 +126,9 @@ def _sparse(bands: Bands):
 
 def spectral_report(gamma: float, grid: GridSpec) -> SpectralReport:
     """Counts and eigenvalues below both essential edges."""
-    lminus = eigs_below(build_lpm(grid, gamma, Which.LMINUS), EDGE_LMINUS)
-    lplus = eigs_below(build_lpm(grid, gamma, Which.LPLUS), EDGE_LPLUS)
+    m, p = build_lpm(grid, gamma)
+    lminus = eigs_below(m, EDGE_LMINUS)
+    lplus = eigs_below(p, EDGE_LPLUS)
     return SpectralReport(
         lminus_eigs=lminus,
         lplus_eigs=lplus,
@@ -166,9 +151,7 @@ def instability_eigenvalue(gamma: float, grid: GridSpec) -> GrowingMode:
     """
     if gamma <= 0.0:
         raise ValueError("instability analysis requires gamma > 0")
-    lp = build_lpm(grid, gamma, Which.LPLUS)
-    lm = build_lpm(grid, gamma, Which.LMINUS)
-
+    lm, lp = build_lpm(grid, gamma)
     lowest = _lowest_eigenvalue(lp)
     if lowest <= 0.0:
         raise ValueError(

@@ -181,10 +181,10 @@ def gradient_flow(
     u = u0.values.astype(complex, copy=True)
     if odd_projection:
         u = _odd_part(u)
-    g, grad = _gradient(op, u, weights)
     d = None
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, grad = _gradient(op, u, weights)
         while iterations < cfg.max_iters and not grad < _GRAD_TOL:
             pg = precond.solve(lambda lo, hi, out: np.copyto(out, g[lo:hi]))
             g_pg = inner(g, pg)

@@ -46,7 +46,7 @@ from gpdelta.solitons import (
     eval_state_derivative,
     families,
 )
-from gpdelta.spectra import EDGE_LMINUS, Which, build_lpm, eigs_below
+from gpdelta.spectra import EDGE_LMINUS, build_lpm, eigs_below
 
 GAMMAS = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)
 SQRT2 = math.sqrt(2.0)
@@ -340,8 +340,7 @@ def test_criterion_10_numerical_hygiene():
     ]
     order_energy = math.log2(bias[0] / bias[1])
     eig_err = [
-        abs(eigs_below(build_lpm(make_grid(30.0, m), 0.0, Which.LMINUS),
-                       EDGE_LMINUS)[0] + 0.5)
+        abs(eigs_below(build_lpm(make_grid(30.0, m), 0.0)[0], EDGE_LMINUS)[0] + 0.5)
         for m in (1500, 3000)
     ]
     order_eig = math.log2(eig_err[0] / eig_err[1])

@@ -334,7 +334,6 @@ def test_instability_eps_is_refused_when_the_fit_window_holds_too_few_points(tmp
     assert report["results"]["fitted_rate"]["value"] is not None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
 @pytest.mark.parametrize("argv, key", [
     (["stationary", "--gamma=-1e200"], "even_coth.energy_closed_form.value"),
     (["energy-table", "--gammas=-1e200"], "rows[2].closed_form.value"),
@@ -352,8 +351,7 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, key, tmp_path, capsy
     # tau gamma^2 / 4 overflows before the flow starts.
     pytest.param(["minimize", "--gamma=-1e300", "--n-starts", "1"],
                  "gradient-flow preconditioner: the shift 1 + tau gamma^2/4 overflows at "
-                 "gamma=-1e+300, tau=0.9", id="minimize",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 "gamma=-1e+300, tau=0.9", id="minimize"),
     # The quartic along the first direction overflows in np.roots, which raised
     # numpy's LinAlgError, a ValueError, after an overflow warning: exit 1.
     pytest.param(["minimize", "--gamma=-1e77", "--n-starts", "1"],
@@ -424,6 +422,65 @@ def test_a_grid_too_coarse_to_extrapolate_names_its_own_m(argv, tmp_path, capsys
         "invalid parameters: the extrapolated energy coarsens by 2: it needs at least 4 "
         "intervals per half line and an even M, got M = 2\n")
     assert not any(tmp_path.iterdir())
+
+
+_TINY = ["--L", "10", "--h", "0.1"]
+_STEPS = ["--dt", "0.01", "--t-end", "0.01"]
+
+
+def _edge_table():
+    """(argv, whether the grid must be refused) for every edge input below."""
+    for g in ("1e-300", "-1e-300", "1e80", "-1e80", "1e300", "-1e300"):
+        gamma, gammas = f"--gamma={g}", f"--gammas={g}"
+        for argv in (["stationary", gamma], ["energy-table", gammas],
+                     ["evolve", gamma, *_STEPS], ["spectrum", gamma], ["lambda-curve", gammas],
+                     ["stability-sweep", gamma, "--n-seeds", "1", *_STEPS],
+                     ["instability", gamma, *_STEPS],
+                     ["minimize", gamma, "--n-starts", "1", "--max-iters", "50"]):
+            yield [*argv, *_TINY], False
+    yield ["kernel-check", "--n-queries", "2"], False
+    for state in ("kink", "even-tanh", "even-coth", "constant"):
+        for seed in ([], ["--perturb-seed", "0"]):
+            yield ["evolve", "--gamma=-1", "--state", state, *seed, *_TINY, *_STEPS], False
+    for odd in ([], ["--odd"]):
+        yield ["minimize", "--gamma", "1", "--n-starts", "1", "--max-iters", "50", *odd,
+               *_TINY], False
+    for dt in ("1e-300", "1e300"):
+        yield ["evolve", "--gamma", "1", *_TINY, "--dt", dt, "--t-end", dt], False
+    # Past these spacings 2/h^2 is not a finite, nonzero double: the grid is refused.
+    for grid in (["--L", "1e-300", "--h", "1e-301"], ["--L", "1e300", "--h", "1e299"]):
+        yield ["evolve", "--gamma", "1", *grid, *_STEPS], True
+        yield ["spectrum", "--gamma", "1", *grid], True
+    yield ["minimize", "--gamma", "1", "--L", "1e300", "--h", "0.25e300", "--n-starts", "1"], True
+
+
+def test_edge_inputs_give_a_clean_report_or_one_message(tmp_path, capsys):
+    # Each run either exits 0 with a strict-JSON report and a silent stderr, or
+    # exits 1 or 2 with one stderr line and no file; no traceback, no warning.
+    def strict(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in report"))
+
+    failures = []
+    for i, (argv, refused) in enumerate(_edge_table()):
+        out = tmp_path / str(i)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main([*argv, "--out", str(out)])
+            except Exception as err:
+                code = f"{type(err).__name__}: {err}"
+        err = capsys.readouterr().err
+        if code == 0:
+            strict((out / argv[0] / "report.json").read_text())
+            ok = err == ""
+        else:
+            ok = code in (1, 2) and err.count("\n") == 1 and not out.exists()
+        if refused:
+            ok = ok and code == 1 and "got h=" in err
+        if not ok or caught:
+            failures.append(f"{' '.join(argv)}: exit {code}, stderr {err!r}, "
+                            f"warnings {[str(w.message) for w in caught]}")
+    assert not failures, "\n".join(failures)
 
 
 def test_lambda_curve_flags_an_absorbed_point_without_a_warning(tmp_path, capsys):

@@ -44,6 +44,11 @@ def test_grid_validation():
         make_grid(1.0, 1)
     with pytest.raises(ValueError):
         make_grid(1.0, 10.5)
+    # Outside these limits 2/h^2 or x^2 is not a finite, nonzero double.
+    with pytest.raises(ValueError, match="need 1e-150 <= h < L <= 1e150, got h=1e-301"):
+        make_grid(1e-300, 10)
+    with pytest.raises(ValueError, match="got h=1e[+]149, L=1e[+]151"):
+        make_grid(1e151, 100)
 
 
 def test_field_validation():
