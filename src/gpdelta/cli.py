@@ -27,6 +27,7 @@ from .evolution import (
     TARGET_D0,
     EvolveConfig,
     check_eps,
+    check_fit_points,
     evolve,
     instability_run,
     seeded_perturbation,
@@ -364,25 +365,16 @@ def _run_instability(args):
     }
     csvs = {}
     if rep.growth_rate is not None:
-        # The fit needs 4 recorded points in [10 eps, 1e-2]; estimate them from the rate.
-        points = math.log(1e-3 / args.eps) / (rep.growth_rate * cfg.dt * cfg.record_every)
-        if points < 4.0:
-            raise ValueError(f"eps {args.eps:g} at growth rate {rep.growth_rate:.6g} leaves "
-                             f"about {points:.2g} recorded points in the fit window "
-                             f"[10 eps, 1e-2] = [{10.0 * args.eps:g}, 1e-2]; the fit needs 4")
+        check_fit_points(args.eps, rep.growth_rate, cfg)
         run = instability_run(args.eps, Field(grid, rep.direction), cfg)
-        rel = None
-        if run.rate is not None:
-            rel = abs(run.rate - rep.growth_rate) / rep.growth_rate
+        rel = None if run.rate is None else abs(run.rate - rep.growth_rate) / rep.growth_rate
         results.update({
             "fitted_rate": _num(run.rate, "fitted"),
             "rel_deviation": _num(rel, "fitted"),
             "window_points": run.window_points,
         })
         tr = run.trajectory
-        csvs["growth.csv"] = (
-            ["t", "orbit_d0"], list(zip(tr.times, tr.orbit_trace))
-        )
+        csvs["growth.csv"] = (["t", "orbit_d0"], list(zip(tr.times, tr.orbit_trace)))
     return grid, results, csvs
 
 
@@ -565,12 +557,12 @@ def main(argv=None) -> int:
         grid, results, csvs = _RUNNERS[args.command](args)
         if (key := _nonfinite_key(results)) is not None:
             raise FloatingPointError(f"non-finite result {key}; no file written")
-    except ValueError as err:
-        print(f"invalid parameters: {err}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ArithmeticError) as err:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:  # after LinAlgError (no convergence), which subclasses it
+        print(f"invalid parameters: {err}", file=sys.stderr)
+        return 1
 
     out_dir = _write_outputs(args, grid, results, csvs, time.perf_counter() - start)
     print(f"{args.command}: wrote {out_dir}")

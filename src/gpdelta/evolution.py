@@ -26,6 +26,7 @@ __all__ = [
     "FixedPointError",
     "InstabilityResult",
     "check_eps",
+    "check_fit_points",
     "evolve",
     "instability_run",
     "seeded_perturbation",
@@ -43,6 +44,10 @@ _SHIFT = 2.0 ** -900
 
 # The orbit distance d0 a seeded perturbation sits at unless told otherwise.
 TARGET_D0 = 0.04
+
+FIT_FLOOR = 10.0
+FIT_CEILING = 1e-2
+FIT_MIN_POINTS = 4
 
 
 class FixedPointError(RuntimeError):
@@ -217,18 +222,28 @@ def check_eps(eps: float) -> None:
     """Refuse an instability eps outside (0, 1e-3), where the fit window is empty."""
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps:g}")
-    if not 10.0 * eps < 1e-2:
+    if not FIT_FLOOR * eps < FIT_CEILING:
         raise ValueError(f"eps must be below 1e-3, got {eps:g}: the fit window "
-                         f"[10 eps, 1e-2] = [{10.0 * eps:g}, 1e-2] is empty")
+                         f"[10 eps, 1e-2] = [{FIT_FLOOR * eps:g}, 1e-2] is empty")
+
+
+def check_fit_points(eps: float, rate: float, cfg: EvolveConfig) -> None:
+    """Refuse an eps whose window would hold under FIT_MIN_POINTS of cfg's records at `rate`."""
+    points = math.log(FIT_CEILING / (FIT_FLOOR * eps)) / (rate * cfg.dt * cfg.record_every)
+    if points < FIT_MIN_POINTS:
+        raise ValueError(f"eps {eps:g} at growth rate {rate:.6g} leaves about {points:.2g} "
+                         f"recorded points in the fit window [10 eps, 1e-2] = "
+                         f"[{FIT_FLOOR * eps:g}, 1e-2]; the fit needs {FIT_MIN_POINTS}")
 
 
 def instability_run(eps: float, direction: Field, cfg: EvolveConfig) -> InstabilityResult:
     """Evolve kink + eps*direction at cfg.gamma and fit the growth rate of d0 to the kink orbit.
 
-    The fit is least squares on log d0 over the window d0 in [10 eps, 1e-2]:
-    below it the signal is still projection-contaminated, above it nonlinear
-    saturation bends the curve. Fewer than 4 recorded points in the window
-    means no exponential growth was seen, reported as rate None.
+    The fit is least squares on log d0 in [FIT_FLOOR eps, FIT_CEILING], above the projection
+    noise and below saturation; fewer than FIT_MIN_POINTS points there give rate None. The
+    sampled kink is no discrete steady state: under Crank-Nicolson its own d0 oscillates up
+    to about 0.15 h^2 (gamma = 1, t <= 3), which at h = 0.1 and eps = 1e-4 reaches the
+    floor and makes the fitted rate wrong.
     """
     if cfg.gamma <= 0.0:
         raise ValueError("instability runs target the repulsive case gamma > 0")
@@ -241,14 +256,14 @@ def instability_run(eps: float, direction: Field, cfg: EvolveConfig) -> Instabil
     traj = evolve(u0, cfg, orbit_target=kink)
 
     d = traj.orbit_trace
-    mask = (d >= 10.0 * eps) & (d <= 1e-2)
+    mask = (d >= FIT_FLOOR * eps) & (d <= FIT_CEILING)
     # Restrict to the first contiguous stretch so a saturated tail that dips
     # back into the window cannot pollute the fit.
     idx = np.flatnonzero(mask)
     breaks = np.flatnonzero(np.diff(idx) > 1)
     if breaks.size:
         idx = idx[: breaks[0] + 1]
-    if idx.size < 4:
+    if idx.size < FIT_MIN_POINTS:
         return InstabilityResult(traj, None, int(idx.size))
     slope = np.polyfit(traj.times[idx], np.log(d[idx]), 1)[0]
     return InstabilityResult(traj, float(slope), int(idx.size))

@@ -289,6 +289,8 @@ def make_grid(L: float, M: int) -> GridSpec:
 
 def build_hgamma(grid: GridSpec, gamma: float) -> DeltaOperator:
     h = grid.h
+    if not np.isfinite(2.0 / h**2 + float(gamma) / h):
+        raise ValueError(f"2/h^2 + gamma/h is not a finite double at gamma={gamma:g}, h={h:g}")
     diagonal = np.full(grid.n_nodes, 2.0 / h**2)
     diagonal[grid.M] += gamma / h
     return DeltaOperator(grid, float(gamma), diagonal, -1.0 / h**2)

@@ -276,10 +276,10 @@ def apply_propagator(u0: Field, t: float, gamma: float, boundary_tol: float = 1e
     """e^{-itH_gamma} u0 = free convolution with K0 plus the Gamma correction.
 
     Both kernel products are FFT convolutions, so a call costs O(n log n).
-    Targets localized wavepackets: the quadrature needs the source to have
-    died out before the boundary, so fields with boundary modulus above
-    boundary_tol are rejected (background-carrying states belong to the
-    time-stepping evolution, not to this kernel route).
+    Targets localized wavepackets: the kernel products treat the field as
+    zero outside the box, so fields with boundary modulus above boundary_tol,
+    which that would cut off, are rejected (background-carrying states belong
+    to the time-stepping evolution, not to this kernel route).
     """
     if t == 0.0:
         return Field(u0.grid, u0.values.copy())

@@ -33,6 +33,7 @@ from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import eigs
 
 from .grid import GridSpec, build_hgamma
+from .solitons import _SQRT2
 
 __all__ = [
     "SpectralReport",
@@ -44,7 +45,6 @@ __all__ = [
     "spectral_report",
 ]
 
-_SQRT2 = float(np.sqrt(2.0))
 EDGE_LMINUS = 0.0
 EDGE_LPLUS = 2.0
 # A lowest amplitude-block eigenvalue above this sits at the essential edge.

@@ -42,7 +42,7 @@ from .grid import (
     build_hgamma,
     trapezoid_weights,
 )
-from .solitons import StateKind, families
+from .solitons import StateKind, StationaryState, eval_state, families
 
 __all__ = [
     "FlowConfig",
@@ -53,7 +53,6 @@ __all__ = [
     "minimize_report",
 ]
 
-_SQRT2 = float(np.sqrt(2.0))
 BASIN_TOL = 0.05
 # Weight of H_N in the preconditioner (s I + tau H_N)^-1.
 _TAU = 0.9
@@ -221,7 +220,7 @@ def seeded_start(grid: GridSpec, seed: int, index: int = 0) -> Field:
     centers = rng.uniform(-5.0, 5.0, 3)
     radii = rng.uniform(0.0, 0.3, 3)
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
-    values = np.tanh(grid.x / _SQRT2).astype(complex)
+    values = eval_state(StationaryState(StateKind.KINK, 0.0), grid).values
     for c, r, p in zip(centers, radii, phases):
         values += r * np.exp(1j * p) * np.exp(-((grid.x - c) ** 2))
     return Field(grid, values)

@@ -426,18 +426,28 @@ def test_a_grid_too_coarse_to_extrapolate_names_its_own_m(argv, tmp_path, capsys
 
 _TINY = ["--L", "10", "--h", "0.1"]
 _STEPS = ["--dt", "0.01", "--t-end", "0.01"]
+# The finest grid crossed with large couplings: gamma/h = +-1e450 is not a double.
+_CROSS = ["--L", "1e-149", "--h", "1e-150"]
+
+
+def _coupling_runs(g):
+    """argv of each subcommand that takes a coupling, at coupling g."""
+    gamma, gammas = f"--gamma={g}", f"--gammas={g}"
+    return (["stationary", gamma], ["energy-table", gammas],
+            ["evolve", gamma, *_STEPS], ["spectrum", gamma], ["lambda-curve", gammas],
+            ["stability-sweep", gamma, "--n-seeds", "1", *_STEPS],
+            ["instability", gamma, *_STEPS],
+            ["minimize", gamma, "--n-starts", "1", "--max-iters", "50"])
 
 
 def _edge_table():
     """(argv, whether the grid must be refused) for every edge input below."""
     for g in ("1e-300", "-1e-300", "1e80", "-1e80", "1e300", "-1e300"):
-        gamma, gammas = f"--gamma={g}", f"--gammas={g}"
-        for argv in (["stationary", gamma], ["energy-table", gammas],
-                     ["evolve", gamma, *_STEPS], ["spectrum", gamma], ["lambda-curve", gammas],
-                     ["stability-sweep", gamma, "--n-seeds", "1", *_STEPS],
-                     ["instability", gamma, *_STEPS],
-                     ["minimize", gamma, "--n-starts", "1", "--max-iters", "50"]):
+        for argv in _coupling_runs(g):
             yield [*argv, *_TINY], False
+    for g in ("1", "1e300", "-1e300"):
+        for argv in _coupling_runs(g):
+            yield [*argv, *_CROSS], False
     yield ["kernel-check", "--n-queries", "2"], False
     for state in ("kink", "even-tanh", "even-coth", "constant"):
         for seed in ([], ["--perturb-seed", "0"]):
@@ -480,6 +490,30 @@ def test_edge_inputs_give_a_clean_report_or_one_message(tmp_path, capsys):
         if not ok or caught:
             failures.append(f"{' '.join(argv)}: exit {code}, stderr {err!r}, "
                             f"warnings {[str(w.message) for w in caught]}")
+    assert not failures, "\n".join(failures)
+
+
+def test_cross_edges_exit_with_the_code_of_their_failure(tmp_path, capsys):
+    # At gamma = 1 on the finest grid the tridiagonal eigen-solver does not
+    # converge: a numerical failure, though scipy's LinAlgError is a ValueError.
+    # At |gamma| = 1e300 every run that builds H_gamma is refused there, naming
+    # gamma and h. At -1e300 the sweep's seeded even-coth state and instability's
+    # sign check fail first; stationary and energy-table build no H_gamma.
+    builds = {"1e300": ("evolve", "stability-sweep", "spectrum", "lambda-curve", "instability",
+                        "minimize"),
+              "-1e300": ("evolve", "spectrum", "lambda-curve", "minimize")}
+    expected = [(["spectrum", "--gamma=1"], 2, "stebz"),
+                (["lambda-curve", "--gammas=1"], 2, "stebz"),
+                (["instability", "--gamma=1", *_STEPS], 2, "stebz")]
+    for g, subcommands in builds.items():
+        named = f"gamma/h is not a finite double at gamma={float(g):g}, h=1e-150"
+        expected += [(argv, 1, named) for argv in _coupling_runs(g) if argv[0] in subcommands]
+    failures = []
+    for i, (argv, code, message) in enumerate(expected):
+        got = main([*argv, *_CROSS, "--out", str(tmp_path / str(i))])
+        err = capsys.readouterr().err
+        if got != code or message not in err:
+            failures.append(f"{' '.join(argv)}: exit {got}, stderr {err!r}")
     assert not failures, "\n".join(failures)
 
 

@@ -466,6 +466,22 @@ def test_odd_perturbations_do_not_grow():
     assert np.max(res.trajectory.orbit_trace) < 1e-3  # measured 2.5e-4
 
 
+def test_the_kink_oscillates_below_the_fit_window_only_on_a_fine_grid():
+    # The sampled kink is no discrete steady state: its own d0 oscillates up to
+    # 0.147 h^2 over t <= 3 (1.47e-3 at h = 0.1, 1.47e-5 at h = 0.01). At h = 0.1
+    # that reaches the floor of the default eps's fit window, and the fitted rate
+    # comes out half the spectral one; at h = 0.01 it stays a decade below.
+    kink = StationaryState(StateKind.KINK, 1.0)
+    floor = evolution.FIT_FLOOR * 1e-4  # instability's default eps
+    peak = {}
+    for h, dt in ((0.1, 0.01), (0.01, 1e-3)):
+        g = make_grid(10.0, round(10.0 / h))
+        cfg = EvolveConfig(dt=dt, t_end=3.0, gamma=1.0, record_every=10)
+        peak[h] = np.max(evolve(eval_state(kink, g), cfg, orbit_target=kink).orbit_trace)
+        assert 0.1 * h**2 < peak[h] < 0.2 * h**2
+    assert peak[0.1] > floor and peak[0.01] < 0.1 * floor
+
+
 # ------------------------------------------------------------ seeded starts
 
 

@@ -7,7 +7,8 @@ move an output rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states each moved key, with its largest move, where it records the change.
+which first prints each run whose bytes move, with its first moved key as
+old -> new, and states those moves where it records the change.
 """
 
 import hashlib
@@ -69,6 +70,18 @@ def _first_move(old, new, key=""):
     return next(filter(None, (_first_move(a, b, k) for k, a, b in pairs)), None)
 
 
+def _what_moved(pinned: dict, files: dict, results: dict) -> str | None:
+    """Where a run's files and results moved from its pin, or None where no byte did."""
+    if files == pinned["sha256"]:
+        return None
+    names = sorted(set(files) | set(pinned["sha256"]))
+    where = [f"files {', '.join(n for n in names if files.get(n) != pinned['sha256'].get(n))}"]
+    moved = _first_move(pinned["results"], results)
+    if moved is not None:
+        where.insert(0, f"first moved key {moved[0]}: {moved[1]!r} -> {moved[2]!r}")
+    return "; ".join(where)
+
+
 def test_pins_were_written_under_this_numpy_and_scipy():
     pinned = json.loads(PINS.read_text())["versions"]
     assert pinned == _versions(), f"pinned under {pinned}, run under {_versions()}"
@@ -81,25 +94,23 @@ def test_pins_were_written_under_this_numpy_and_scipy():
 def test_outputs_match_their_pins(argv, cores, tmp_path, monkeypatch):
     monkeypatch.setattr(grid, "_usable_cores", lambda: cores)
     pins = json.loads(PINS.read_text())
-    pinned = pins["runs"][" ".join(argv)]
-    files, results = _outputs(tmp_path, argv)
-    if files == pinned["sha256"]:
-        return
-    names = sorted(set(files) | set(pinned["sha256"]))
-    where = [f"files {', '.join(n for n in names if files.get(n) != pinned['sha256'].get(n))}"]
-    moved = _first_move(pinned["results"], results)
-    if moved is not None:
-        where.insert(0, f"first moved key {moved[0]}: {moved[1]!r} -> {moved[2]!r}")
-    pytest.fail(f"{' '.join(argv)}: outputs moved from their pins ({'; '.join(where)}); pinned "
-                f"under {pins['versions']}, run under {_versions()}", pytrace=False)
+    where = _what_moved(pins["runs"][" ".join(argv)], *_outputs(tmp_path, argv))
+    if where is not None:
+        pytest.fail(f"{' '.join(argv)}: outputs moved from their pins ({where}); pinned "
+                    f"under {pins['versions']}, run under {_versions()}", pytrace=False)
 
 
 def _repin() -> None:
+    pinned = json.loads(PINS.read_text())["runs"] if PINS.exists() else {}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(RUNS):
+            name = " ".join(argv)
             files, results = _outputs(Path(tmp) / str(i), argv)
-            runs[" ".join(argv)] = {"sha256": files, "results": results}
+            runs[name] = {"sha256": files, "results": results}
+            where = "new run" if name not in pinned else _what_moved(pinned[name], files, results)
+            if where is not None:
+                print(f"{name}: {where}", file=sys.stderr)
     pins = {"versions": _versions(), "runs": runs}
     PINS.write_text(json.dumps(pins, sort_keys=True, indent=1) + "\n")
     print(f"wrote {len(runs)} runs to {PINS}", file=sys.stderr)
