@@ -25,10 +25,11 @@ both cases mu_min = Re(-lambda^2) is the lowest eigenvalue of P M.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import eigs
 
@@ -96,6 +97,20 @@ def eigs_below(bands: Bands, edge: float) -> np.ndarray:
     return vals[vals < edge]
 
 
+def _where(stage: str, gamma: float, grid: GridSpec) -> str:
+    """The prefix of an eigen-solver failure's message: the stage, gamma and the grid."""
+    return f"{stage} at gamma={gamma:g}, L={grid.L:g}, h={grid.h:g}"
+
+
+@contextmanager
+def _stage(stage: str, gamma: float, grid: GridSpec):
+    """Re-raise the eigen-solver's LinAlgError (a stebz that does not converge) naming the stage."""
+    try:
+        yield
+    except LinAlgError as err:
+        raise type(err)(f"{_where(stage, gamma, grid)}: {err}") from err
+
+
 def _lowest_eigenvalue(bands: Bands) -> float:
     val = eigh_tridiagonal(
         *bands, eigvals_only=True, select="i",
@@ -115,7 +130,8 @@ def lambda_curve(gammas, grid: GridSpec) -> np.ndarray:
     gs = np.atleast_1d(np.asarray(gammas, dtype=float))
     out = np.empty((gs.size, 2))
     for i, g in enumerate(gs):
-        out[i] = (g, _lowest_eigenvalue(build_lpm(grid, g)[1]))
+        with _stage("lambda curve", g, grid):
+            out[i] = (g, _lowest_eigenvalue(build_lpm(grid, g)[1]))
     return out
 
 
@@ -127,8 +143,9 @@ def _sparse(bands: Bands):
 def spectral_report(gamma: float, grid: GridSpec) -> SpectralReport:
     """Counts and eigenvalues below both essential edges."""
     m, p = build_lpm(grid, gamma)
-    lminus = eigs_below(m, EDGE_LMINUS)
-    lplus = eigs_below(p, EDGE_LPLUS)
+    with _stage("spectral report", gamma, grid):
+        lminus = eigs_below(m, EDGE_LMINUS)
+        lplus = eigs_below(p, EDGE_LPLUS)
     return SpectralReport(
         lminus_eigs=lminus,
         lplus_eigs=lplus,
@@ -152,7 +169,8 @@ def instability_eigenvalue(gamma: float, grid: GridSpec) -> GrowingMode:
     if gamma <= 0.0:
         raise ValueError("instability analysis requires gamma > 0")
     lm, lp = build_lpm(grid, gamma)
-    lowest = _lowest_eigenvalue(lp)
+    with _stage("instability eigenvalue", gamma, grid):
+        lowest = _lowest_eigenvalue(lp)
     if lowest <= 0.0:
         raise ValueError(
             f"amplitude block is not positive on this grid: lowest eigenvalue {lowest:.3e}"
@@ -173,7 +191,8 @@ def instability_eigenvalue(gamma: float, grid: GridSpec) -> GrowingMode:
     res = np.linalg.norm(p @ u - rate * v) + np.linalg.norm(m @ v + rate * u)
     bound = 1e-6 * (np.linalg.norm(u) + np.linalg.norm(v))
     if res > bound:
-        raise RuntimeError(f"eigenpair residual {res:.3e} exceeds {bound:.3e}")
+        raise RuntimeError(f"{_where('instability eigenvalue', gamma, grid)}: "
+                           f"eigenpair residual {res:.3e} exceeds {bound:.3e}")
     direction = np.zeros(grid.n_nodes, dtype=complex)
     direction[1:-1] = u - 1j * v
     direction /= np.sqrt(np.sum(np.abs(direction) ** 2) * grid.h)

@@ -495,16 +495,18 @@ def test_edge_inputs_give_a_clean_report_or_one_message(tmp_path, capsys):
 
 def test_cross_edges_exit_with_the_code_of_their_failure(tmp_path, capsys):
     # At gamma = 1 on the finest grid the tridiagonal eigen-solver does not
-    # converge: a numerical failure, though scipy's LinAlgError is a ValueError.
+    # converge: a numerical failure, though scipy's LinAlgError is a ValueError,
+    # reported with its stage, gamma and the grid.
     # At |gamma| = 1e300 every run that builds H_gamma is refused there, naming
     # gamma and h. At -1e300 the sweep's seeded even-coth state and instability's
     # sign check fail first; stationary and energy-table build no H_gamma.
     builds = {"1e300": ("evolve", "stability-sweep", "spectrum", "lambda-curve", "instability",
                         "minimize"),
               "-1e300": ("evolve", "spectrum", "lambda-curve", "minimize")}
-    expected = [(["spectrum", "--gamma=1"], 2, "stebz"),
-                (["lambda-curve", "--gammas=1"], 2, "stebz"),
-                (["instability", "--gamma=1", *_STEPS], 2, "stebz")]
+    where = "at gamma=1, L=1e-149, h=1e-150: stebz"
+    expected = [(["spectrum", "--gamma=1"], 2, f"spectral report {where}"),
+                (["lambda-curve", "--gammas=1"], 2, f"lambda curve {where}"),
+                (["instability", "--gamma=1", *_STEPS], 2, f"instability eigenvalue {where}")]
     for g, subcommands in builds.items():
         named = f"gamma/h is not a finite double at gamma={float(g):g}, h=1e-150"
         expected += [(argv, 1, named) for argv in _coupling_runs(g) if argv[0] in subcommands]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
+from gpdelta import spectra
 from gpdelta.grid import make_grid
 from gpdelta.spectra import (
     ABSORBED_ABOVE,
@@ -167,6 +168,20 @@ def test_instability_reports_when_the_amplitude_block_is_not_positive(canon):
     # outweighs the true positive shift, a genuine failure of the square root.
     with pytest.raises(ValueError, match="not positive"):
         instability_eigenvalue(1e-6, canon)
+
+
+def test_a_bad_eigenpair_names_its_stage_gamma_and_grid(monkeypatch):
+    eigs = spectra.eigs
+
+    def reversed_vector(*args, **kwargs):  # (v, u) read as (u, v) mirrored: no eigenvector
+        vals, vecs = eigs(*args, **kwargs)
+        return vals, vecs[::-1]
+
+    monkeypatch.setattr(spectra, "eigs", reversed_vector)
+    grid = make_grid(30.0, 300)
+    with pytest.raises(RuntimeError, match=r"^instability eigenvalue at gamma=1, L=30, "
+                                           r"h=0\.1: eigenpair residual .* exceeds "):
+        instability_eigenvalue(1.0, grid)
 
 
 def test_repulsive_kink_has_a_growing_mode():
