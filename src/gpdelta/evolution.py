@@ -133,7 +133,7 @@ class _CrankNicolson:
     def step(self, u: np.ndarray, prev: np.ndarray, t: float) -> np.ndarray:
         """u advanced by one dt to time t; prev is u one step back. FixedPointError names t."""
         if self.cfg.linear:
-            w = self._lu.solve(lambda lo, hi, out: np.add(u[lo:hi], self._rhs[lo:hi], out=out))
+            w = self._lu.solve(u + self._rhs)
             w -= _SHIFT * (1.0 + 1.0j)  # w + c, worked on in place
             w *= 2.0
             w -= u
@@ -141,11 +141,6 @@ class _CrankNicolson:
         base = u.copy()
         base[0] -= self._coupling[0]
         base[-1] -= self._coupling[1]
-
-        def fill(lo, hi, out):  # rows lo..hi-1 of base + z F(w)
-            nonlinear_values(w[lo:hi], out=out)
-            np.multiply(self._z, out, out=out)
-            out += base[lo:hi]
         w = 1.5 * u - 0.5 * prev  # the midpoint extrapolated from the last two steps
         # The residual is that of u+ = 2w - u, against a scale fixed by u, ends included.
         tol = _FP_TOL * (1.0 + max(float(np.max(np.abs(u))), self._end_scale))
@@ -154,7 +149,10 @@ class _CrankNicolson:
         finite = math.nan  # the last finite residual, NaN before the first
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, _FP_MAX_ITER + 1):
-                new = self._lu.solve(fill)
+                rhs = nonlinear_values(w)  # base + z F(w)
+                np.multiply(self._z, rhs, out=rhs)
+                rhs += base
+                new = self._lu.solve(rhs)
                 residual = 2.0 * float(np.max(np.abs(new - w)))
                 if not math.isfinite(residual):
                     raise FixedPointError(

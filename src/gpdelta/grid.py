@@ -104,23 +104,23 @@ class TridiagonalLU:
     """LU factors of a complex tridiagonal matrix, kept for repeated solves.
 
     Callers build the three bands. The matrix is factored once (LAPACK zgttrf)
-    and each solve is a zgttrs sweep, or two half-size ones.
+    and each solve is a zgttrs sweep of the right-hand side, or two half-size ones.
 
     A matrix of at least _SPLIT_MIN_ROWS rows is tried as two diagonal blocks
     (the partition or "SPIKE" method: Polizzi & Sameh, Parallel Computing 32,
     2006). Each block is factored on its own, and its spike, the block's inverse
     applied to its coupling column, is computed once and cut where it falls
-    below _SPIKE_CUT of its peak. A solve fills block 2's right-hand side and
-    puts it on a queue for one helper thread, started on first use; while the
-    helper sweeps, the caller fills and sweeps block 1. It then takes the
-    helper's result from a second queue, solves the 2 x 2 interface system and
-    corrects the rows the spikes reach. A second caller that finds the helper
-    busy fills both blocks and sweeps them inline, and a forked child starts a
-    helper of its own. The split is kept only when both spikes reach at most a
-    quarter of their block: Crank-Nicolson's I + i dt/2 H has spikes of about
-    a hundred rows, while the flow's preconditioner (s I + tau H_N) has spikes
-    that span nearly its whole block, so it keeps the single sweep. Below the
-    row floor the thread handoff costs more than half a sweep saves.
+    below _SPIKE_CUT of its peak. A solve puts block 2 of the right-hand side on
+    a queue for one helper thread, started on first use, and sweeps block 1
+    while the helper sweeps block 2. It then takes the helper's result from a
+    second queue, solves the 2 x 2 interface system and corrects the rows the
+    spikes reach. A second caller that finds the helper busy sweeps both blocks
+    inline, and a forked child starts a helper of its own. The split is kept
+    only when both spikes reach at most a quarter of their block:
+    Crank-Nicolson's I + i dt/2 H has spikes of about a hundred rows, while the
+    flow's preconditioner (s I + tau H_N) has spikes that span nearly its whole
+    block, so it keeps the single sweep. Below the row floor the thread handoff
+    costs more than half a sweep saves.
 
     The split's arithmetic is the same on one core, where both blocks are swept
     inline, so a result does not depend on the core count. It differs from the
@@ -128,6 +128,7 @@ class TridiagonalLU:
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        self._n = diag.size
         self._split = None
         if diag.size >= _SPLIT_MIN_ROWS:
             self._split = _Split.try_factor(lower, diag, upper)
@@ -137,14 +138,17 @@ class TridiagonalLU:
                 raise RuntimeError(f"tridiagonal factorization failed (info={info})")
             self._factors = (dl, d, du, du2, ipiv)
 
-    def solve(self, fill) -> np.ndarray:
-        """The solution whose right-hand side fill(lo, hi, out) writes, rows lo..hi-1 into out."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution of A x = b, swept into b itself and returned."""
+        # zgttrs sweeps a private copy of any other b and would leave b unsolved.
+        if not (isinstance(b, np.ndarray) and b.dtype == np.complex128 and b.shape == (self._n,)
+                and b.flags.c_contiguous and b.flags.writeable):
+            raise ValueError(f"a tridiagonal solve needs a writeable, C-contiguous "
+                             f"complex128 array of {self._n} rows")
         if self._split is not None:
-            return self._split.solve(fill)
-        x = np.empty(self._factors[1].size, dtype=complex)
-        fill(0, x.size, x)
-        _sweep(lapack.zgttrs, self._factors, x)
-        return x
+            return self._split.solve(b)
+        _sweep(lapack.zgttrs, self._factors, b)
+        return b
 
 
 def _sweep(zgttrs, factors: tuple, x: np.ndarray) -> None:
@@ -212,16 +216,13 @@ class _Split:
             return None
         return cls(m, top, bottom, v, w, det, _usable_cores() > 1)
 
-    def solve(self, fill) -> np.ndarray:
+    def solve(self, x: np.ndarray) -> np.ndarray:
         m = self.m
-        x = np.empty(m + self.bottom[1].size, dtype=complex)
         top, bottom = x[:m], x[m:]
-        fill(m, x.size, bottom)
         if self.threaded and _busy.acquire(blocking=False):
             try:
                 _hand_off(self.bottom, bottom)
                 try:
-                    fill(0, m, top)
                     _sweep(lapack.zgttrs, self.top, top)
                 finally:
                     error = _results.get()
@@ -230,7 +231,6 @@ class _Split:
             if error is not None:
                 raise error
         else:
-            fill(0, m, top)
             _sweep(lapack.zgttrs, self.top, top)
             _sweep(_zgttrs, self.bottom, bottom)
         g1, g2 = top[-1], bottom[0]

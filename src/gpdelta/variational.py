@@ -185,7 +185,7 @@ def gradient_flow(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g, grad = _gradient(op, u, weights)
         while iterations < cfg.max_iters and not grad < _GRAD_TOL:
-            pg = precond.solve(lambda lo, hi, out: np.copyto(out, g[lo:hi]))
+            pg = precond.solve(g.copy())
             g_pg = inner(g, pg)
             beta = 0.0 if d is None else max(0.0, (g_pg - inner(g_prev, pg)) / g_pg_prev)
             d = beta * d - pg if beta > 0.0 else -pg

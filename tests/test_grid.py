@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from conftest import copying
 from gpdelta import grid
 from gpdelta.grid import (
     Field,
@@ -230,78 +229,82 @@ def test_tridiagonal_lu_solves_both_end_row_layouts(monkeypatch):
 
         if n < grid._SPLIT_MIN_ROWS:
             for bands in (cn, gf):
-                x = TridiagonalLU(*bands).solve(copying(rhs))
+                x = TridiagonalLU(*bands).solve(rhs.copy())
                 assert x.tobytes() == _direct_sweep(bands, rhs).tobytes()
                 want = np.linalg.solve(_dense_tridiagonal(*bands), rhs)
                 np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
             continue
-        assert TridiagonalLU(*gf).solve(copying(rhs)).tobytes() == _direct_sweep(gf, rhs).tobytes()
+        assert TridiagonalLU(*gf).solve(rhs.copy()).tobytes() == _direct_sweep(gf, rhs).tobytes()
 
         # Crank-Nicolson splits. Each schedule (helper thread, or one core
         # inline) gives the same bits, within rounding of the single sweep.
         monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
-        threaded = TridiagonalLU(*cn).solve(copying(rhs))
+        threaded = TridiagonalLU(*cn).solve(rhs.copy())
         monkeypatch.setattr(grid, "_usable_cores", lambda: 1)
-        inline = TridiagonalLU(*cn).solve(copying(rhs))
+        inline = TridiagonalLU(*cn).solve(rhs.copy())
         assert threaded.tobytes() == inline.tobytes()
         want = _direct_sweep(cn, rhs)
         err = np.max(np.abs(threaded - want)) / np.max(np.abs(want))
         assert 0.0 < err <= 1e-14, (n, err)  # measured <= 7e-16; 0 would mean no split
 
 
-def test_fill_writes_each_row_once_on_the_calling_thread_block_2_first(monkeypatch):
-    caller = threading.current_thread()
-    for L, M, dt in _LU_CASES:
+def test_a_solve_overwrites_its_right_hand_side_and_refuses_one_zgttrs_would_copy(monkeypatch):
+    rng = np.random.default_rng(5)
+    # n = 41 is one sweep; n = 4001 splits, swept on the helper thread or inline.
+    for (L, M, dt), cores in (((2.0, 20, 0.01), 2), ((40.0, 2000, 2e-3), 2),
+                              ((40.0, 2000, 2e-3), 1)):
+        monkeypatch.setattr(grid, "_usable_cores", lambda cores=cores: cores)
         bands = _cn_bands(build_hgamma(make_grid(L, M), -0.7), dt)
         n = bands[1].size
-        rng = np.random.default_rng(5)
         rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        solutions = []
-        for cores in (2, 1):
-            monkeypatch.setattr(grid, "_usable_cores", lambda cores=cores: cores)
-            lu = TridiagonalLU(*bands)
-            calls = []
+        lu = TridiagonalLU(*bands)
+        assert (lu._split is None) == (n < grid._SPLIT_MIN_ROWS)
+        b = rhs.copy()
+        x = lu.solve(b)
+        assert x is b
+        want = _direct_sweep(bands, rhs)
+        if lu._split is None:
+            assert x.tobytes() == want.tobytes()
+        else:
+            assert lu._split.threaded == (cores > 1)
+            assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
-            def fill(lo, hi, out):
-                calls.append((lo, hi, threading.current_thread()))
-                out[:] = rhs[lo:hi]
-
-            solutions.append(lu.solve(fill).tobytes())
-            filled = np.zeros(n, dtype=int)
-            for lo, hi, thread in calls:
-                filled[lo:hi] += 1
-                assert thread is caller and thread.name != "gpdelta-tridiagonal"
-            assert np.all(filled == 1)
-            if n < grid._SPLIT_MIN_ROWS:
-                assert [call[:2] for call in calls] == [(0, n)]
-            else:
-                assert lu._split.threaded == (cores > 1)
-                m = lu._split.m
-                assert [call[:2] for call in calls] == [(m, n), (0, m)]
-        assert solutions[0] == solutions[1]
+        strided = np.empty(2 * n, dtype=complex)[::2]
+        strided[:] = rhs
+        read_only = rhs.copy()
+        read_only.flags.writeable = False
+        for bad in (rhs.real.copy(), strided, read_only, rhs[:-1].copy(), list(rhs)):
+            with pytest.raises(ValueError, match="writeable, C-contiguous complex128"):
+                lu.solve(bad)
+        assert not grid._busy.locked()
 
 
-@pytest.mark.parametrize("block", [2, 1], ids=["before-hand-off", "after-hand-off"])
-def test_a_raising_fill_is_raised_in_the_caller_and_frees_the_helper(block, monkeypatch):
+def test_a_failed_caller_sweep_frees_the_helper(monkeypatch):
     monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
     bands = _cn_bands(build_hgamma(make_grid(40.0, 2000), 1.0), 2e-3)
     rng = np.random.default_rng(13)
     rhs = rng.normal(size=bands[1].size) + 1j * rng.normal(size=bands[1].size)
     lu = TridiagonalLU(*bands)
-    want = lu.solve(copying(rhs))  # the helper now runs
+    want = lu.solve(rhs.copy())  # the helper now runs
     threads = threading.active_count()
-    m = lu._split.m
 
-    def failing(lo, hi, out):
-        if (lo == m) == (block == 2):
-            raise ArithmeticError(f"no right-hand side for block {block}")
-        out[:] = rhs[lo:hi]
+    sweepers = []
+    zgttrs = lapack.zgttrs
 
-    with pytest.raises(ArithmeticError, match=f"no right-hand side for block {block}"):
-        lu.solve(failing)
+    def failing_zgttrs(*args, **kwargs):
+        sweepers.append(threading.current_thread())
+        return args[-1], 3
+
+    # The caller looks lapack.zgttrs up at call time; the helper's block 2 does not fail.
+    monkeypatch.setattr(lapack, "zgttrs", failing_zgttrs)
+    with pytest.raises(RuntimeError, match=r"tridiagonal solve failed \(info=3\)"):
+        lu.solve(rhs.copy())
+    assert sweepers == [threading.current_thread()]
     assert not grid._busy.locked()
     assert grid._results.empty()
-    assert lu.solve(copying(rhs)).tobytes() == want.tobytes()
+
+    monkeypatch.setattr(lapack, "zgttrs", zgttrs)
+    assert lu.solve(rhs.copy()).tobytes() == want.tobytes()
     assert threading.active_count() == threads
 
 
@@ -315,7 +318,7 @@ def test_tridiagonal_lu_rejects_a_singular_matrix():
 def _solve_in_child(bands, rhs, want):
     # The parent's helper thread does not exist here; a solve that handed
     # block 2 to it would wait forever.
-    x = TridiagonalLU(*bands).solve(copying(rhs))
+    x = TridiagonalLU(*bands).solve(rhs.copy())
     sys.exit(0 if x.tobytes() == want.tobytes() else 1)
 
 
@@ -328,11 +331,11 @@ def test_split_solves_share_one_helper_across_threads_and_a_fork(monkeypatch):
     for dt in (2e-3, 1e-3):
         bands = _cn_bands(op, dt)
         rhs = rng.normal(size=op.grid.n_nodes) + 1j * rng.normal(size=op.grid.n_nodes)
-        systems.append((bands, rhs, TridiagonalLU(*bands).solve(copying(rhs))))
+        systems.append((bands, rhs, TridiagonalLU(*bands).solve(rhs.copy())))
 
     for _ in range(50):
         bands, rhs, want = systems[0]
-        assert TridiagonalLU(*bands).solve(copying(rhs)).tobytes() == want.tobytes()
+        assert TridiagonalLU(*bands).solve(rhs.copy()).tobytes() == want.tobytes()
     assert threading.active_count() <= before + 1
 
     # Two callers at once: one holds the helper, the other sweeps inline.
@@ -342,7 +345,7 @@ def test_split_solves_share_one_helper_across_threads_and_a_fork(monkeypatch):
         bands, rhs, want = systems[i]
         lu = TridiagonalLU(*bands)
         for _ in range(200):
-            if lu.solve(copying(rhs)).tobytes() == want.tobytes():
+            if lu.solve(rhs.copy()).tobytes() == want.tobytes():
                 solved[i] += 1
 
     interval = sys.getswitchinterval()
@@ -382,7 +385,7 @@ def test_a_failed_helper_sweep_is_raised_in_the_caller(monkeypatch):
     rng = np.random.default_rng(11)
     rhs = rng.normal(size=bands[1].size) + 1j * rng.normal(size=bands[1].size)
     lu = TridiagonalLU(*bands)
-    want = lu.solve(copying(rhs))  # the helper now runs
+    want = lu.solve(rhs.copy())  # the helper now runs
     threads = threading.active_count()
 
     sweepers = []
@@ -394,10 +397,10 @@ def test_a_failed_helper_sweep_is_raised_in_the_caller(monkeypatch):
     # Block 1 is the caller's lapack.zgttrs; only the helper's block 2 fails.
     monkeypatch.setattr(grid, "_zgttrs", failing_zgttrs)
     with pytest.raises(RuntimeError, match=r"tridiagonal solve failed \(info=3\)"):
-        lu.solve(copying(rhs))
+        lu.solve(rhs.copy())
     assert sweepers == ["gpdelta-tridiagonal"]
     assert not grid._busy.locked()
 
     monkeypatch.setattr(grid, "_zgttrs", lapack.zgttrs)
-    assert lu.solve(copying(rhs)).tobytes() == want.tobytes()
+    assert lu.solve(rhs.copy()).tobytes() == want.tobytes()
     assert threading.active_count() == threads
