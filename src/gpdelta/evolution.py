@@ -5,12 +5,14 @@ CN is the implicit midpoint rule: the step iterates on the midpoint w of
 (I + i dt/2 H) u+ = (I - i dt/2 H) u + i dt F((u + u+)/2). H is real symmetric
 tridiagonal, so the linear part is a Cayley transform: exactly unitary on the
 clamped interior, which is what makes the norm and energy traces meaningful
-test objects rather than artifacts of dissipation.
+test objects rather than artifacts of dissipation. H also commutes with
+x -> -x, so a linear run is two independent runs, one per mirror parity.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,41 +105,30 @@ class Trajectory:
         return self.final[None, :]
 
 
+def _interior_system(grid: GridSpec, cfg: EvolveConfig, ends: np.ndarray):
+    """z = i dt/2, the diagonal and off-diagonal of the interior rows of I + z H, and
+    the held ends' coupling (k0, k1), a constant on the first and last row."""
+    op = build_hgamma(grid, cfg.gamma)
+    z = 0.5j * cfg.dt
+    off = z * op.off_diagonal
+    return z, 1.0 + z * op.diagonal[1:-1], off, (off * ends[0], off * ends[-1])
+
+
 class _CrankNicolson:
-    """Prefactorized midpoint solve on the n - 2 interior samples, the ends held fixed.
+    """Prefactorized nonlinear midpoint solve on the n - 2 interior samples, the ends held.
 
-    `step` takes and returns interior arrays. The clamped ends are given once;
-    their coupling through I + i dt/2 H is a constant on the first and last rows.
-
-    A linear step solves for w + c, c = _SHIFT (1 + i). A decaying packet's tails
-    underflow in each part on its own; unshifted, the sweep would carry them down to
-    the subnormals, where every operation is many times slower.
+    `step` takes and returns interior arrays. F mixes the mirror parities, so
+    the whole interior is one system, swept once per midpoint iteration.
     """
 
     def __init__(self, grid: GridSpec, cfg: EvolveConfig, ends: np.ndarray):
-        self.cfg = cfg
-        op = build_hgamma(grid, cfg.gamma)
-        self._z = 0.5j * cfg.dt
-        off = self._z * op.off_diagonal
-        diag = 1.0 + self._z * op.diagonal[1:-1]
+        self._z, diag, off, self._coupling = _interior_system(grid, cfg, ends)
         bands = np.full(diag.size - 1, off)
         self._lu = TridiagonalLU(bands, diag, bands)
-        self._coupling = (off * ends[0], off * ends[-1])  # the ends' terms, first and last row
         self._end_scale = float(np.max(np.abs(ends)))  # their share of max|u| in the tolerance
-        c = _SHIFT * (1.0 + 1.0j)
-        self._rhs = diag * c  # A c less the coupling: a linear right-hand side's constant part
-        self._rhs[:-1] += bands * c
-        self._rhs[1:] += bands * c
-        self._rhs[[0, -1]] -= self._coupling
 
     def step(self, u: np.ndarray, prev: np.ndarray, t: float) -> np.ndarray:
         """u advanced by one dt to time t; prev is u one step back. FixedPointError names t."""
-        if self.cfg.linear:
-            w = self._lu.solve(u + self._rhs)
-            w -= _SHIFT * (1.0 + 1.0j)  # w + c, worked on in place
-            w *= 2.0
-            w -= u
-            return w
         base = u.copy()
         base[0] -= self._coupling[0]
         base[-1] -= self._coupling[1]
@@ -167,6 +158,74 @@ class _CrankNicolson:
                               residual, _FP_MAX_ITER, time=t)
 
 
+class _ParityHalves:
+    """Linear steps on the n - 2 interior samples as two independent half-size runs.
+
+    H_gamma commutes with x -> -x, so I + i dt/2 H maps the even and the odd part
+    of the interior, about its centre row c = (n - 2) // 2, each to itself. The
+    even half is rows c.. with row c's upper coupling doubled, the odd half rows
+    c + 1.. (its row c is zero), and the ends' coupling (k0, k1) enters each
+    half's last row as (k1 + k0) / 2 and (k1 - k0) / 2. `advance` folds the
+    interior into its halves, runs the odd half on a worker thread started and
+    joined inside the call while this thread runs the even half, and unfolds.
+    The halves share no data, so no result depends on scheduling or core count.
+
+    Each half solves for w + c, c = _SHIFT (1 + i), with its own constant A c less
+    its coupling (the full grid's constant has no odd part). A decaying packet's
+    tails underflow in each part on its own; unshifted, the sweep would carry
+    them down to the subnormals, where every operation is many times slower.
+    """
+
+    def __init__(self, grid: GridSpec, cfg: EvolveConfig, ends: np.ndarray):
+        # scipy's zgttrf refuses fewer than 3 rows, and the odd half has M - 1.
+        if grid.M < 4:
+            raise ValueError(f"a linear run needs M >= 4 intervals per half line, got M={grid.M}")
+        _, diag, off, (k0, k1) = _interior_system(grid, cfg, ends)
+        self._c = c = diag.size // 2
+        self._even = _half(diag[c:], off, 2.0, 0.5 * (k1 + k0))
+        self._odd = _half(diag[c + 1:], off, 1.0, 0.5 * (k1 - k0))
+
+    def advance(self, u: np.ndarray, steps: int) -> np.ndarray:
+        """The interior array u advanced by `steps` linear steps."""
+        c = self._c
+        right, left = u[c + 1:], u[c - 1::-1]
+        even, odd = np.concatenate((u[c:c + 1], 0.5 * (right + left))), 0.5 * (right - left)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            odd_run = worker.submit(_linear_steps, *self._odd, odd, steps, True)
+            even = _linear_steps(*self._even, even, steps)
+            odd = odd_run.result()
+        out = np.empty_like(u)
+        out[c] = even[0]
+        out[c + 1:] = even[1:] + odd
+        out[c - 1::-1] = even[1:] - odd
+        return out
+
+
+def _half(diag: np.ndarray, off: complex, first_upper: float, coupling: complex):
+    """One parity half's factors and the constant part of its right-hand side."""
+    lower = np.full(diag.size - 1, off)
+    upper = lower.copy()
+    upper[0] *= first_upper
+    c = _SHIFT * (1.0 + 1.0j)
+    rhs = diag * c  # A c less the coupling
+    rhs[:-1] += upper * c
+    rhs[1:] += lower * c
+    rhs[-1] -= coupling
+    return TridiagonalLU(lower, diag, upper), rhs
+
+
+def _linear_steps(lu: TridiagonalLU, rhs: np.ndarray, u: np.ndarray, steps: int,
+                  worker: bool = False) -> np.ndarray:
+    """One half's u after `steps` steps, each solving A (w + c) = u + rhs for u+ = 2w - u."""
+    for _ in range(steps):
+        w = lu.solve(u + rhs, worker=worker)
+        w -= _SHIFT * (1.0 + 1.0j)  # w + c, worked on in place
+        w *= 2.0
+        w -= u
+        u = w
+    return u
+
+
 def evolve(
     u0: Field,
     cfg: EvolveConfig,
@@ -176,11 +235,12 @@ def evolve(
 
     Energy (and, with orbit_target, the orbit distance) is evaluated at t = 0,
     every record_every steps and at the last step, as the run passes them. A
-    non-finite value at t = 0 is a RuntimeError before any step.
+    non-finite value at t = 0 is a RuntimeError before any step. A linear run
+    advances its two parity halves from one record to the next; it needs M >= 4.
     """
     grid = u0.grid
     full = u0.values.copy()  # the field with its ends, refreshed at each record
-    stepper = _CrankNicolson(grid, cfg, full[[0, -1]])
+    stepper = (_ParityHalves if cfg.linear else _CrankNicolson)(grid, cfg, full[[0, -1]])
     n_steps = int(round(cfg.t_end / cfg.dt))
 
     times, energies, orbit = [], [], []
@@ -200,10 +260,14 @@ def evolve(
     for name, trace in (("energy", energies), ("orbit distance", orbit)):
         if trace and not math.isfinite(trace[0]):
             raise RuntimeError(f"initial state: {name} at t=0 is {trace[0]}; no step taken")
-    for k in range(1, n_steps + 1):
-        prev, u = u, stepper.step(u, prev, k * cfg.dt)
-        if k % cfg.record_every == 0 or k == n_steps:
-            record(k, u)
+    for start in range(0, n_steps, cfg.record_every):
+        stop = min(start + cfg.record_every, n_steps)
+        if cfg.linear:
+            u = stepper.advance(u, stop - start)
+        else:
+            for k in range(start + 1, stop + 1):
+                prev, u = u, stepper.step(u, prev, k * cfg.dt)
+        record(stop, u)
 
     orbit_trace = np.array(orbit) if orbit_target is not None else None
     return Trajectory(np.asarray(times), np.array(energies), orbit_trace, full)

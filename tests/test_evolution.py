@@ -7,6 +7,7 @@ is being checked.
 
 import math
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -81,17 +82,17 @@ def test_step_solves_the_cn_equation(linear):
     assert nxt[0] == u[0] and nxt[-1] == u[-1]
 
 
-@pytest.mark.parametrize("linear, solves", [(False, 2000), (True, 500)],
+@pytest.mark.parametrize("linear, solves", [(False, 2000), (True, 1000)],
                          ids=["nonlinear", "linear"])
 def test_solve_count_of_a_seeded_coth_run(linear, solves, monkeypatch):
-    # 500 steps at four solves each, or at one when linear: a changed
-    # iteration, stop rule or linear step shows here.
+    # 500 steps at four solves each, or at two (one per parity half) when
+    # linear: a changed iteration, stop rule or linear step shows here.
     calls = []
     solve = TridiagonalLU.solve
 
-    def counting(self, b):
+    def counting(self, b, **kw):
         calls.append(1)
-        return solve(self, b)
+        return solve(self, b, **kw)
 
     monkeypatch.setattr(TridiagonalLU, "solve", counting)
     g = make_grid(20.0, 1000)
@@ -102,39 +103,57 @@ def test_solve_count_of_a_seeded_coth_run(linear, solves, monkeypatch):
     assert tr.final[0] == u0.values[0] and tr.final[-1] == u0.values[-1]
 
 
+def _fold(u):
+    """The even part of the interior array u from its centre row c on, and the odd part after c."""
+    c = u.size // 2
+    right, left = u[c + 1:], u[c - 1::-1]
+    return np.concatenate((u[c:c + 1], 0.5 * (right + left))), 0.5 * (right - left)
+
+
 def test_linear_solves_see_no_subnormals(monkeypatch):
-    # exp(-x^2) underflows in its tails: an unshifted first right-hand side
-    # holds 68 subnormal samples, and the sweep spreads them along the tails.
+    # exp(-x^2) underflows in its tails: the even half of an unshifted first
+    # right-hand side holds 34 subnormal samples, and the sweep spreads them
+    # along the tails.
     rhs_seen = []
     solve = TridiagonalLU.solve
 
-    def recording(self, b):
+    def recording(self, b, **kw):
         rhs_seen.append(b.copy())
-        return solve(self, b)
+        return solve(self, b, **kw)
 
     monkeypatch.setattr(TridiagonalLU, "solve", recording)
     g = make_grid(40.0, 2000)
     dt, gamma = 1e-3, 1.0
     u0 = Field(g, np.exp(-g.x**2))
     tr = evolve(u0, EvolveConfig(dt=dt, t_end=20 * dt, gamma=gamma, linear=True))
-    assert len(rhs_seen) == 20
+    assert sorted(b.size for b in rhs_seen) == [1999] * 20 + [2000] * 20  # odd, even half
     tiny = np.finfo(float).tiny
     for rhs in rhs_seen:
         for part in (rhs.real, rhs.imag):
             assert not np.any((part != 0.0) & (np.abs(part) < tiny))
     assert tr.final[[0, -1]].tobytes() == u0.values[[0, -1]].tobytes()
 
-    # One step against the unshifted solve of the same matrix.
+    # One step against the unshifted solve of the same two halves.
     one = evolve(u0, EvolveConfig(dt=dt, t_end=dt, gamma=gamma, linear=True)).final
     op, z = build_hgamma(g, gamma), 0.5j * dt
-    off = np.full(g.n_nodes - 1, z * op.off_diagonal)
-    off[0] = off[-1] = 0.0
-    diag = np.ones(g.n_nodes, dtype=complex)
-    diag[1:-1] += z * op.diagonal[1:-1]
-    base = u0.values.copy()
-    base[1] -= z * op.off_diagonal * base[0]
-    base[-2] -= z * op.off_diagonal * base[-1]
-    plain = 2.0 * solve(TridiagonalLU(off, diag, off), base.copy()) - u0.values
+    diag, off = 1.0 + z * op.diagonal[1:-1], z * op.off_diagonal
+    k0, k1 = off * u0.values[0], off * u0.values[-1]
+    c = diag.size // 2
+    halves = []
+    for part, rows, first_upper, coupling in zip(
+            _fold(u0.values[1:-1]), (diag[c:], diag[c + 1:]), (2.0, 1.0),
+            (0.5 * (k1 + k0), 0.5 * (k1 - k0))):
+        lower = np.full(rows.size - 1, off)
+        upper = lower.copy()
+        upper[0] *= first_upper
+        b = part.copy()
+        b[-1] -= coupling
+        halves.append(2.0 * solve(TridiagonalLU(lower, rows, upper), b) - part)
+    even, odd = halves
+    plain = u0.values.copy()
+    plain[c + 1] = even[0]
+    plain[c + 2:-1] = even[1:] + odd
+    plain[c:0:-1] = even[1:] - odd
     assert np.max(np.abs(one - plain)) <= 1e-15  # measured 4.8e-271
 
 
@@ -177,21 +196,64 @@ def _whole_rhs_step(g, cfg, u, prev):
     raise AssertionError("the reference step did not converge")
 
 
-@pytest.mark.parametrize("M", [20, 2000], ids=["unsplit-41", "split-4001"])
-@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
-def test_interior_step_matches_the_whole_rhs_step_bit_for_bit(linear, M, monkeypatch):
-    # The interior step, its ends given once, against the step on all n samples.
-    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
+@pytest.mark.parametrize("M", [20, 2000], ids=["n41", "n4001"])
+def test_interior_step_matches_the_whole_rhs_step_bit_for_bit(M):
+    # The nonlinear interior step, its ends given once, against the step on all n samples.
     g = make_grid(M / 50.0, M)
     dt = 2e-3
-    cfg = EvolveConfig(dt=dt, t_end=dt, gamma=1.0, linear=linear)
+    cfg = EvolveConfig(dt=dt, t_end=dt, gamma=1.0)
     prev = perturbed_b1(g).values
     cn = evolution._CrankNicolson(g, cfg, prev[[0, -1]])
-    assert cn._lu._split is not None if M == 2000 else cn._lu._split is None
     u = evolve(Field(g, prev), cfg).final
     want = _whole_rhs_step(g, cfg, u, prev)
     assert want[[0, -1]].tobytes() == u[[0, -1]].tobytes()
     assert cn.step(u[1:-1], prev[1:-1], 2 * dt).tobytes() == want[1:-1].tobytes()
+
+
+@pytest.mark.parametrize("M", [4, 20, 2000], ids=["n9", "n41", "n4001"])
+def test_parity_run_matches_the_whole_rhs_sweep(M):
+    # Asymmetric held ends (-1, +1) couple into both halves. The parity halves
+    # round differently from one whole sweep, so the runs agree to a bound, not
+    # bit for bit: after 30 steps, measured 2.6e-15, 4.7e-15 and 5.6e-14 on a
+    # field of size 1; bound about 10x the largest.
+    g = make_grid(M / 50.0, M)
+    u0 = np.tanh(5.0 * g.x / g.L) + 0.2 * np.exp(-((g.x - 0.3 * g.L) / (0.2 * g.L)) ** 2) * 1j
+    u0[[0, -1]] = -1.0, 1.0
+    cfg = EvolveConfig(dt=2e-3, t_end=30 * 2e-3, gamma=1.0, linear=True, record_every=7)
+    u = u0.astype(complex)
+    for _ in range(30):
+        u = _whole_rhs_step(g, cfg, u, None)
+    got = evolve(Field(g, u0), cfg).final
+    assert got[[0, -1]].tobytes() == u[[0, -1]].tobytes()
+    assert np.max(np.abs(got - u)) <= 5e-13
+
+
+def test_a_failed_worker_sweep_is_raised_in_the_caller(monkeypatch):
+    # The odd half sweeps on the worker thread, through grid._zgttrs.
+    sweepers = []
+
+    def failing_zgttrs(*args, **kwargs):
+        sweepers.append(threading.current_thread())
+        return args[-1], 3
+
+    monkeypatch.setattr(grid, "_zgttrs", failing_zgttrs)
+    threads = threading.active_count()
+    g = make_grid(10.0, 200)
+    cfg = EvolveConfig(dt=1e-2, t_end=0.1, gamma=1.0, linear=True)
+    with pytest.raises(RuntimeError, match=r"tridiagonal solve failed \(info=3\)"):
+        evolve(perturbed_b1(g), cfg)
+    assert len(sweepers) == 1 and sweepers[0] is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+def test_a_linear_run_needs_four_intervals_per_half_line():
+    # scipy's zgttrf refuses fewer than 3 rows, and the odd half has M - 1.
+    cfg = EvolveConfig(dt=1e-2, t_end=0.1, gamma=1.0, linear=True)
+    with pytest.raises(ValueError, match=r"a linear run needs M >= 4 .* got M=3"):
+        evolve(Field(make_grid(1.0, 3), np.ones(7, dtype=complex)), cfg)
+    # Nonlinear runs keep their M >= 2.
+    nonlinear = EvolveConfig(dt=1e-2, t_end=0.1, gamma=1.0)
+    assert evolve(Field(make_grid(1.0, 2), np.ones(5, dtype=complex)), nonlinear).final.size == 5
 
 
 # ------------------------------------------------------------ invariants

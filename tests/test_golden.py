@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +23,13 @@ import pytest
 import scipy
 
 from conftest import run
-from gpdelta import grid
 
 PINS = Path(__file__).parent / "golden" / "pins.json"
 
 _SMALL = ("--L", "10", "--h", "0.1")
 _SHORT = ("--dt", "0.01", "--t-end", "0.2", "--record-every", "5")
-# 100 steps at n = 4001: the only run whose Crank-Nicolson matrix is split.
-SPLIT_RUN = ("evolve", "--gamma=-1", "--state", "even-coth", "--perturb-seed", "0",
+# 100 nonlinear Crank-Nicolson steps on criterion 8's grid and step, n = 4001.
+N4001_RUN = ("evolve", "--gamma=-1", "--state", "even-coth", "--perturb-seed", "0",
              "--L", "40", "--h", "0.02", "--dt", "2e-3", "--t-end", "0.2")
 RUNS = (
     ("stationary", "--gamma", "1", *_SMALL),
@@ -43,7 +43,7 @@ RUNS = (
      "--record-every", "10"),
     ("minimize", "--gamma=-1", "--n-starts", "2", "--max-iters", "300", "--L", "10",
      "--h", "0.2"),
-    SPLIT_RUN,
+    N4001_RUN,
 )
 
 
@@ -87,14 +87,12 @@ def test_pins_were_written_under_this_numpy_and_scipy():
     assert pinned == _versions(), f"pinned under {pinned}, run under {_versions()}"
 
 
-# Each run with the helper thread sweeping block 2, and the split run again with
-# both blocks swept inline on one core, against the same pin.
-@pytest.mark.parametrize("argv, cores", [(r, 2) for r in RUNS] + [(SPLIT_RUN, 1)],
-                         ids=[" ".join(r) for r in RUNS] + ["one core: " + " ".join(SPLIT_RUN)])
-def test_outputs_match_their_pins(argv, cores, tmp_path, monkeypatch):
-    monkeypatch.setattr(grid, "_usable_cores", lambda: cores)
+@pytest.mark.parametrize("argv", RUNS, ids=[" ".join(r) for r in RUNS])
+def test_outputs_match_their_pins(argv, tmp_path):
     pins = json.loads(PINS.read_text())
+    threads = threading.active_count()
     where = _what_moved(pins["runs"][" ".join(argv)], *_outputs(tmp_path, argv))
+    assert threading.active_count() == threads, "a thread outlived the run that started it"
     if where is not None:
         pytest.fail(f"{' '.join(argv)}: outputs moved from their pins ({where}); pinned "
                     f"under {pins['versions']}, run under {_versions()}", pytrace=False)

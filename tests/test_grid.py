@@ -1,14 +1,7 @@
-import multiprocessing
-import sys
-import threading
-import time
-import warnings
-
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from gpdelta import grid
 from gpdelta.grid import (
     Field,
     TridiagonalLU,
@@ -189,7 +182,7 @@ def _cn_bands(op, dt):
     """I + i dt/2 H with identity end rows.
 
     Crank-Nicolson factors the interior rows alone; these two decoupled rows
-    border that matrix and leave its factors and its split point as they are.
+    border that matrix and leave its factors as they are.
     """
     n = op.grid.n_nodes
     z = 0.5j * dt
@@ -201,13 +194,13 @@ def _cn_bands(op, dt):
     return lower, diag, upper
 
 
-# (L, M, dt): n = 41, under the row floor; n = 4001, criterion 8's
-# Crank-Nicolson and the descent flow's grid; n = 6001, instability's default
-# grid; n = 16001, the linear workload's grid.
+# (L, M, dt): n = 41; n = 4001, criterion 8's Crank-Nicolson and the descent
+# flow's grid; n = 6001, instability's default grid; n = 16001, the linear
+# workload's grid.
 _LU_CASES = ((2.0, 20, 0.01), (40.0, 2000, 2e-3), (30.0, 3000, 1e-3), (40.0, 8000, 1e-4))
 
 
-def test_tridiagonal_lu_solves_both_end_row_layouts(monkeypatch):
+def test_tridiagonal_lu_solves_both_end_row_layouts():
     for L, M, dt in _LU_CASES:
         g = make_grid(L, M)
         op = build_hgamma(g, -0.7)
@@ -216,8 +209,7 @@ def test_tridiagonal_lu_solves_both_end_row_layouts(monkeypatch):
         rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
         cn = _cn_bands(op, dt)
 
-        # Gradient flow: I + tau H with reflected-Neumann end rows. Its spikes
-        # span most of a block, so it keeps the single sweep at every size.
+        # Gradient flow: I + tau H with reflected-Neumann end rows.
         tau = 0.9
         gf_diag = (1.0 + tau * op.diagonal).astype(complex)
         gf_diag[0] = gf_diag[-1] = 1.0 + 2.0 * tau / g.h**2
@@ -227,47 +219,27 @@ def test_tridiagonal_lu_solves_both_end_row_layouts(monkeypatch):
         gf_lower[-1] *= 2.0
         gf = (gf_lower, gf_diag, gf_upper)
 
-        if n < grid._SPLIT_MIN_ROWS:
-            for bands in (cn, gf):
-                x = TridiagonalLU(*bands).solve(rhs.copy())
-                assert x.tobytes() == _direct_sweep(bands, rhs).tobytes()
+        for bands in (cn, gf):
+            x = TridiagonalLU(*bands).solve(rhs.copy())
+            assert x.tobytes() == _direct_sweep(bands, rhs).tobytes()
+            if n < 100:
                 want = np.linalg.solve(_dense_tridiagonal(*bands), rhs)
                 np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
-            continue
-        assert TridiagonalLU(*gf).solve(rhs.copy()).tobytes() == _direct_sweep(gf, rhs).tobytes()
-
-        # Crank-Nicolson splits. Each schedule (helper thread, or one core
-        # inline) gives the same bits, within rounding of the single sweep.
-        monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
-        threaded = TridiagonalLU(*cn).solve(rhs.copy())
-        monkeypatch.setattr(grid, "_usable_cores", lambda: 1)
-        inline = TridiagonalLU(*cn).solve(rhs.copy())
-        assert threaded.tobytes() == inline.tobytes()
-        want = _direct_sweep(cn, rhs)
-        err = np.max(np.abs(threaded - want)) / np.max(np.abs(want))
-        assert 0.0 < err <= 1e-14, (n, err)  # measured <= 7e-16; 0 would mean no split
 
 
-def test_a_solve_overwrites_its_right_hand_side_and_refuses_one_zgttrs_would_copy(monkeypatch):
+def test_a_solve_overwrites_its_right_hand_side_and_refuses_one_zgttrs_would_copy():
     rng = np.random.default_rng(5)
-    # n = 41 is one sweep; n = 4001 splits, swept on the helper thread or inline.
-    for (L, M, dt), cores in (((2.0, 20, 0.01), 2), ((40.0, 2000, 2e-3), 2),
-                              ((40.0, 2000, 2e-3), 1)):
-        monkeypatch.setattr(grid, "_usable_cores", lambda cores=cores: cores)
+    for L, M, dt in ((2.0, 20, 0.01), (40.0, 2000, 2e-3)):  # n = 41 and 4001
         bands = _cn_bands(build_hgamma(make_grid(L, M), -0.7), dt)
         n = bands[1].size
         rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
         lu = TridiagonalLU(*bands)
-        assert (lu._split is None) == (n < grid._SPLIT_MIN_ROWS)
-        b = rhs.copy()
-        x = lu.solve(b)
-        assert x is b
         want = _direct_sweep(bands, rhs)
-        if lu._split is None:
+        for worker in (False, True):
+            b = rhs.copy()
+            x = lu.solve(b, worker=worker)
+            assert x is b
             assert x.tobytes() == want.tobytes()
-        else:
-            assert lu._split.threaded == (cores > 1)
-            assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
         strided = np.empty(2 * n, dtype=complex)[::2]
         strided[:] = rhs
@@ -276,36 +248,23 @@ def test_a_solve_overwrites_its_right_hand_side_and_refuses_one_zgttrs_would_cop
         for bad in (rhs.real.copy(), strided, read_only, rhs[:-1].copy(), list(rhs)):
             with pytest.raises(ValueError, match="writeable, C-contiguous complex128"):
                 lu.solve(bad)
-        assert not grid._busy.locked()
 
 
-def test_a_failed_caller_sweep_frees_the_helper(monkeypatch):
-    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
-    bands = _cn_bands(build_hgamma(make_grid(40.0, 2000), 1.0), 2e-3)
-    rng = np.random.default_rng(13)
-    rhs = rng.normal(size=bands[1].size) + 1j * rng.normal(size=bands[1].size)
+def test_a_worker_solve_never_calls_lapack_zgttrs(monkeypatch):
+    # A profiler may wrap lapack.zgttrs, and its wrapper need not be
+    # thread-safe; a worker's solve sweeps through grid._zgttrs, bound at import.
+    bands = _cn_bands(build_hgamma(make_grid(2.0, 20), 1.0), 0.01)
+    rhs = np.ones(bands[1].size, dtype=complex)
     lu = TridiagonalLU(*bands)
-    want = lu.solve(rhs.copy())  # the helper now runs
-    threads = threading.active_count()
-
-    sweepers = []
-    zgttrs = lapack.zgttrs
+    want = _direct_sweep(bands, rhs)
 
     def failing_zgttrs(*args, **kwargs):
-        sweepers.append(threading.current_thread())
         return args[-1], 3
 
-    # The caller looks lapack.zgttrs up at call time; the helper's block 2 does not fail.
     monkeypatch.setattr(lapack, "zgttrs", failing_zgttrs)
+    assert lu.solve(rhs.copy(), worker=True).tobytes() == want.tobytes()
     with pytest.raises(RuntimeError, match=r"tridiagonal solve failed \(info=3\)"):
         lu.solve(rhs.copy())
-    assert sweepers == [threading.current_thread()]
-    assert not grid._busy.locked()
-    assert grid._results.empty()
-
-    monkeypatch.setattr(lapack, "zgttrs", zgttrs)
-    assert lu.solve(rhs.copy()).tobytes() == want.tobytes()
-    assert threading.active_count() == threads
 
 
 def test_tridiagonal_lu_rejects_a_singular_matrix():
@@ -313,94 +272,3 @@ def test_tridiagonal_lu_rejects_a_singular_matrix():
     off = np.zeros(3, dtype=complex)
     with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
         TridiagonalLU(off, np.array([1.0, 0.0, 1.0, 1.0], dtype=complex), off)
-
-
-def _solve_in_child(bands, rhs, want):
-    # The parent's helper thread does not exist here; a solve that handed
-    # block 2 to it would wait forever.
-    x = TridiagonalLU(*bands).solve(rhs.copy())
-    sys.exit(0 if x.tobytes() == want.tobytes() else 1)
-
-
-def test_split_solves_share_one_helper_across_threads_and_a_fork(monkeypatch):
-    before = threading.active_count()
-    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
-    op = build_hgamma(make_grid(40.0, 2000), 1.0)
-    rng = np.random.default_rng(7)
-    systems = []
-    for dt in (2e-3, 1e-3):
-        bands = _cn_bands(op, dt)
-        rhs = rng.normal(size=op.grid.n_nodes) + 1j * rng.normal(size=op.grid.n_nodes)
-        systems.append((bands, rhs, TridiagonalLU(*bands).solve(rhs.copy())))
-
-    for _ in range(50):
-        bands, rhs, want = systems[0]
-        assert TridiagonalLU(*bands).solve(rhs.copy()).tobytes() == want.tobytes()
-    assert threading.active_count() <= before + 1
-
-    # Two callers at once: one holds the helper, the other sweeps inline.
-    solved = [0, 0]
-
-    def work(i):
-        bands, rhs, want = systems[i]
-        lu = TridiagonalLU(*bands)
-        for _ in range(200):
-            if lu.solve(rhs.copy()).tobytes() == want.tobytes():
-                solved[i] += 1
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in (0, 1)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 60.0
-        for t in threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert solved == [200, 200]
-
-    # A forked child starts its own helper.
-    bands, rhs, want = systems[0]
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on any fork of a threaded process; this test forks one on purpose.
-        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                DeprecationWarning)
-        child = multiprocessing.get_context("fork").Process(
-            target=_solve_in_child, args=(bands, rhs, want))
-        child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-        pytest.fail("the forked child hung on a split solve")
-    assert child.exitcode == 0
-
-
-def test_a_failed_helper_sweep_is_raised_in_the_caller(monkeypatch):
-    monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
-    bands = _cn_bands(build_hgamma(make_grid(40.0, 2000), 1.0), 2e-3)
-    rng = np.random.default_rng(11)
-    rhs = rng.normal(size=bands[1].size) + 1j * rng.normal(size=bands[1].size)
-    lu = TridiagonalLU(*bands)
-    want = lu.solve(rhs.copy())  # the helper now runs
-    threads = threading.active_count()
-
-    sweepers = []
-
-    def failing_zgttrs(*args, **kwargs):
-        sweepers.append(threading.current_thread().name)
-        return args[-1], 3
-
-    # Block 1 is the caller's lapack.zgttrs; only the helper's block 2 fails.
-    monkeypatch.setattr(grid, "_zgttrs", failing_zgttrs)
-    with pytest.raises(RuntimeError, match=r"tridiagonal solve failed \(info=3\)"):
-        lu.solve(rhs.copy())
-    assert sweepers == ["gpdelta-tridiagonal"]
-    assert not grid._busy.locked()
-
-    monkeypatch.setattr(grid, "_zgttrs", lapack.zgttrs)
-    assert lu.solve(rhs.copy()).tobytes() == want.tobytes()
-    assert threading.active_count() == threads

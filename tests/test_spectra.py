@@ -209,6 +209,18 @@ def test_growth_rate_is_grid_converged():
     assert rel < 0.01  # measured 4.7e-6
 
 
+def test_the_box_error_of_the_growing_mode_sits_at_its_pinned_scale():
+    # Far from the defect a growing mode decays like e^{-k_s |x|}, with
+    # k_s ~ sqrt(|mu| / 2) small at gamma = 10, so the Dirichlet walls of the
+    # default L = 30 pull the rate down. At h = 0.02 the long boxes agree to
+    # 7.4e-10 and L = 30 reads 9.7e-3 relative low (measured; 0.7 s in all).
+    # This fails on purpose once far-field boundary rows remove the box error.
+    rates = {L: instability_eigenvalue(10.0, make_grid(L, round(L / 0.02))).growth_rate
+             for L in (30.0, 120.0, 240.0)}
+    assert abs(rates[120.0] - rates[240.0]) / rates[240.0] < 1e-8
+    assert 5e-3 < (rates[240.0] - rates[30.0]) / rates[240.0] < 2e-2
+
+
 @pytest.mark.parametrize("M", [300, 600])
 def test_sparse_instability_matches_the_dense_oracle(M):
     grid = make_grid(30.0, M)
